@@ -12,8 +12,9 @@ the allocator squeezes the least-demanding server hardest.
 Run:  python examples/rack_capping.py
 """
 
-from repro.cluster import ProportionalDemandAllocator, RackServer, RackSimulation
+from repro.cluster import ProportionalDemandAllocator
 from repro.core import build_capgpu
+from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
 from repro.sim import paper_scenario
 from repro.workloads import SteadyArrivals
 
@@ -37,12 +38,13 @@ def main() -> None:
                 rate = 0.3 * pipe.spec.max_throughput_img_s()
                 pipe.arrivals = SteadyArrivals(rate)
         controller = build_capgpu(sim, model=model)
-        servers.append(RackServer(f"srv{i}", sim, controller))
+        servers.append(FleetServer(f"srv{i}", sim, controller))
 
-    rack = RackSimulation(
-        servers,
-        ProportionalDemandAllocator(),
-        rack_budget_w=RACK_BUDGET_W,
+    # A rack is a one-rack fleet of scalar servers under a flat allocator.
+    rack = FleetSimulation(
+        ReferenceBackend(servers),
+        budget_w=RACK_BUDGET_W,
+        allocation=ProportionalDemandAllocator(),
         periods_per_rack_period=5,
     )
 

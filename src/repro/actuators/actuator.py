@@ -24,7 +24,6 @@ import numpy as np
 from ..errors import ActuationError
 from ..hardware.device import Device
 from ..hardware.server import GpuServer
-from ..perf import vectorized_enabled
 from .modulator import DeltaSigmaModulator, Modulator, NearestLevelModulator
 
 __all__ = ["ChannelActuator", "ServerActuator"]
@@ -83,8 +82,9 @@ class ServerActuator:
         self.server = server
         self.channels = [ChannelActuator(d, factory(d.domain)) for d in server.devices]
         n = len(self.channels)
-        self._applied_sum = np.zeros(n, dtype=np.float64)
+        self._applied_sum = [0.0] * n
         self._applied_ticks = 0
+        self._stale_targets = True
         # Batched per-tick rollout: eligible when every domain is an
         # exact-uniform grid (nearest-level snapping then reduces to index
         # arithmetic that reconstructs the very same float64 levels) and the
@@ -95,21 +95,17 @@ class ServerActuator:
         # to the vector expressions and severalfold cheaper per tick.
         domains = [d.domain for d in server.devices]
         self._vec_mode: str | None = None
-        if vectorized_enabled() and all(
-            dom.uniform_pitch_mhz is not None for dom in domains
-        ):
+        if all(dom.uniform_pitch_mhz is not None for dom in domains):
             if modulator_factory is None or modulator_factory is DeltaSigmaModulator:
                 self._vec_mode = "delta-sigma"
             elif modulator_factory is NearestLevelModulator:
                 self._vec_mode = "nearest"
-        self._vec = self._vec_mode is not None
-        if self._vec:
+        if self._vec_mode is not None:
             self._f_min = [dom.f_min for dom in domains]
             self._f_max = [dom.f_max for dom in domains]
             self._grid_pitch = [dom.uniform_pitch_mhz for dom in domains]
             self._k_max = [float(dom.n_levels - 2) for dom in domains]
             self._tgt = [c.target_mhz for c in self.channels]
-            self._stale_targets = True
             self._applied_vec = [0.0] * n
             # Nearest-level modulation is stateless: the applied vector is a
             # pure function of the targets, recomputed only on promotion.
@@ -119,7 +115,6 @@ class ServerActuator:
                 # itself — read back so the clip is bitwise the scalar one.
                 self._err_bound = [c.modulator._pitch for c in self.channels]
                 self._err = [0.0] * n
-            self._applied_sum_vec = [0.0] * n
 
     @property
     def n_channels(self) -> int:
@@ -138,27 +133,33 @@ class ServerActuator:
             )
         for chan, f in zip(self.channels, arr):
             chan.set_target(float(f))
-        if self._vec:
-            self._stale_targets = True
+        self._stale_targets = True
 
     def set_target(self, channel: int, f_mhz: float) -> None:
         """Stage a target for one channel."""
         self.channels[channel].set_target(f_mhz)
-        if self._vec:
-            self._stale_targets = True
+        self._stale_targets = True
 
-    def tick(self):
-        """Advance all modulators one tick; returns applied discrete levels.
+    def tick(self) -> None:
+        """Advance all modulators one tick and apply their discrete levels.
 
-        Returns an ``np.ndarray`` on the per-channel modulator path and a
-        plain list of floats on the batched path — the levels are identical;
-        the engine consumes neither (it reads the device bank).
+        Returns ``None``: the applied levels are read back from the plant
+        (``server.frequency_vector()`` or ``device.frequency_mhz``), never
+        from an actuator buffer that the next tick overwrites.
         """
-        if not self._vec:
-            applied = np.array([c.tick() for c in self.channels], dtype=np.float64)
-            self._applied_sum += applied
-            self._applied_ticks += 1
-            return applied
+        if self._vec_mode is None:
+            applied = [c.tick() for c in self.channels]
+        else:
+            applied = self._rollout()
+            self.server.apply_frequency_levels(applied)
+        s = self._applied_sum
+        for i, a in enumerate(applied):
+            s[i] += a
+        self._applied_ticks += 1
+
+    def _rollout(self) -> list[float]:
+        """One batched tick: every channel's level, with modulator state
+        advanced exactly as the per-channel modulators would advance it."""
         if self._stale_targets:
             # Promote pending commands (the one-tick latency) and refresh
             # the target vector; between control periods this is skipped.
@@ -175,43 +176,37 @@ class ServerActuator:
                 ]
         if self._vec_mode == "nearest":
             # Stateless rounding: constant between target changes.
-            applied = self._applied_cache
-        else:
-            # The delta-sigma rollout of DeltaSigmaModulator.next_level,
-            # unrolled over channels with every float op in the modulator's
-            # order — bitwise the same levels and error state. Targets are
-            # already domain-clamped by set_target.
-            floor = math.floor
-            tgt = self._tgt
-            err = self._err
-            bound = self._err_bound
-            f_min = self._f_min
-            f_max = self._f_max
-            pitch = self._grid_pitch
-            k_max = self._k_max
-            applied = self._applied_vec
-            for i in range(len(applied)):
-                desired = tgt[i] + err[i]
-                lo = f_min[i]
-                hi = f_max[i]
-                clipped = lo if desired < lo else (hi if desired > hi else desired)
-                p = pitch[i]
-                k = floor((clipped - lo) / p)
-                km = k_max[i]
-                if k > km:
-                    k = km
-                below = lo + p * k
-                above = lo + p * (k + 1.0)
-                level = below if (clipped - below) <= (above - clipped) else above
-                applied[i] = level
-                e = desired - level
-                b = bound[i]
-                err[i] = -b if e < -b else (b if e > b else e)
-        self.server.apply_frequency_levels(applied)
-        s = self._applied_sum_vec
-        for i, a in enumerate(applied):
-            s[i] += a
-        self._applied_ticks += 1
+            return self._applied_cache
+        # The delta-sigma rollout of DeltaSigmaModulator.next_level,
+        # unrolled over channels with every float op in the modulator's
+        # order — bitwise the same levels and error state. Targets are
+        # already domain-clamped by set_target.
+        floor = math.floor
+        tgt = self._tgt
+        err = self._err
+        bound = self._err_bound
+        f_min = self._f_min
+        f_max = self._f_max
+        pitch = self._grid_pitch
+        k_max = self._k_max
+        applied = self._applied_vec
+        for i in range(len(applied)):
+            desired = tgt[i] + err[i]
+            lo = f_min[i]
+            hi = f_max[i]
+            clipped = lo if desired < lo else (hi if desired > hi else desired)
+            p = pitch[i]
+            k = floor((clipped - lo) / p)
+            km = k_max[i]
+            if k > km:
+                k = km
+            below = lo + p * k
+            above = lo + p * (k + 1.0)
+            level = below if (clipped - below) <= (above - clipped) else above
+            applied[i] = level
+            e = desired - level
+            b = bound[i]
+            err[i] = -b if e < -b else (b if e > b else e)
         return applied
 
     def _snap_to_level(self, desired: float, i: int) -> float:
@@ -243,14 +238,8 @@ class ServerActuator:
         """
         if self._applied_ticks == 0:
             return self.targets()
-        if self._vec:
-            s = self._applied_sum_vec
-            avg = np.array(s, dtype=np.float64) / self._applied_ticks
-            for i in range(len(s)):
-                s[i] = 0.0
-        else:
-            avg = self._applied_sum / self._applied_ticks
-            self._applied_sum[:] = 0.0
+        avg = np.array(self._applied_sum, dtype=np.float64) / self._applied_ticks
+        self._applied_sum = [0.0] * len(self.channels)
         self._applied_ticks = 0
         return avg
 
@@ -258,11 +247,9 @@ class ServerActuator:
         """Reset all channel actuators and the averaging window."""
         for c in self.channels:
             c.reset()
-        self._applied_sum[:] = 0.0
+        self._applied_sum = [0.0] * len(self.channels)
         self._applied_ticks = 0
-        if self._vec:
-            self._stale_targets = True
-            self._applied_cache = None
-            self._applied_sum_vec = [0.0] * len(self.channels)
-            if self._vec_mode == "delta-sigma":
-                self._err = [0.0] * len(self.channels)
+        self._stale_targets = True
+        self._applied_cache = None
+        if self._vec_mode == "delta-sigma":
+            self._err = [0.0] * len(self.channels)

@@ -2,7 +2,8 @@
 
 See DESIGN.md: this layer implements the oversubscription context the paper
 motivates (Dynamo-style budget reallocation), with CapGPU as the per-server
-enforcement mechanism.
+enforcement mechanism. The allocators here are the budget policies; a rack
+of servers under one of them is a :class:`repro.fleet.FleetSimulation`.
 """
 
 from .allocator import (
@@ -13,23 +14,10 @@ from .allocator import (
     ServerPowerState,
 )
 
-
-def __getattr__(name: str):
-    # RackSimulation is a shim over repro.fleet, which itself builds on
-    # .allocator — importing .rack lazily keeps the package import acyclic
-    # whichever of repro.cluster / repro.fleet loads first.
-    if name in ("RackServer", "RackSimulation"):
-        from . import rack
-
-        return getattr(rack, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "ServerPowerState",
     "BudgetAllocator",
     "FairShareAllocator",
     "ProportionalDemandAllocator",
     "PriorityAllocator",
-    "RackServer",
-    "RackSimulation",
 ]

@@ -3,9 +3,9 @@
 Lives at the kernel layer so that the engine layer (``repro.sim``,
 ``repro.core``) can consult the switch without importing upward into
 ``repro.fast`` — the fast engine *implements* the mode, it does not own
-the flag. ``repro.fast.mode`` re-exports this module for compatibility.
+the flag.
 
-Mirrors :mod:`repro.perf`'s construction-time switch discipline:
+Precedence:
 
 * the programmatic override (:func:`set_engine`) wins,
 * else the ``REPRO_ENGINE`` environment variable,
@@ -20,8 +20,7 @@ The environment variable is the cross-process channel: ``repro sweep
 exists, and both fork- and spawn-started workers inherit it — a module
 global would silently reset under the spawn start method.
 
-Unlike ``REPRO_VECTORIZED`` (a bit-identical fast path, default on), the
-fast engine changes float semantics and is therefore strictly opt-in:
+The fast engine changes float semantics and is therefore strictly opt-in:
 nothing enables it implicitly, and every artifact produced under it is
 comparable to the reference only through the tolerance-based
 :mod:`repro.equiv` layer, never through digests.
@@ -72,7 +71,7 @@ def fast_enabled() -> bool:
 
 def set_engine(name: str | None) -> None:
     """Override the engine mode (``None`` restores environment control)."""
-    global _override  # noqa: PLW0603 -- module-level feature switch, like perf.set_vectorized
+    global _override  # noqa: PLW0603 -- module-level feature switch
     _override = None if name is None else _validated(name, "set_engine()")
 
 

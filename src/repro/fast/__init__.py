@@ -10,9 +10,8 @@ settle times), never with digests.
 
 Opt in per process with ``REPRO_ENGINE=fast`` / ``--engine fast`` or
 programmatically with :func:`set_engine`; the switch itself lives at the
-kernel layer in :mod:`repro.enginemode` (re-exported here via
-``repro.fast.mode``) so the engine layer can consult it without an
-upward import.
+kernel layer in :mod:`repro.enginemode` (re-exported here) so the engine
+layer can consult it without an upward import.
 
 This package is *sanctioned* for the REP2xx float-semantics lint rules
 (see ``LintConfig.sanctioned_rules``): unordered reductions are its whole
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .mode import ENGINES, engine_name, fast_enabled, fast_engine, set_engine
+from ..enginemode import ENGINES, engine_name, fast_enabled, fast_engine, set_engine
 
 __all__ = [
     "ENGINES",

@@ -204,7 +204,7 @@ class FastMimoPowerMpc(MimoPowerMpc):
     """Drop-in MPC solver using pre-solved gains (relaxed semantics).
 
     Constructed in place of :class:`MimoPowerMpc` when the fast engine is
-    enabled (see :mod:`repro.fast.mode`). Ignores ``config.solver``: every
+    enabled (see :mod:`repro.enginemode`). Ignores ``config.solver``: every
     solve is the analytic gain evaluation, plus the grouped active-set box
     projection when constraints bind.
     """

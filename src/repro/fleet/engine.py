@@ -1,6 +1,7 @@
 """Fleet co-simulation: many capped servers under one budget hierarchy.
 
-The rack loop of ``cluster/rack.py`` generalized along two axes:
+A rack loop — reallocate a shared budget across CapGPU servers every
+few control periods — generalized along two axes:
 
 * **scale** — the per-server stepping is delegated to a *backend*. The
   :class:`ReferenceBackend` keeps one scalar
@@ -11,10 +12,11 @@ The rack loop of ``cluster/rack.py`` generalized along two axes:
   (``tests/fleet/test_differential.py``).
 * **hierarchy** — budgets descend a :class:`~repro.fleet.tree.BudgetTree`
   (datacenter → row → rack → server) instead of one flat allocator call;
-  a flat tree reproduces the old ``RackSimulation`` exactly.
+  a flat :class:`~repro.cluster.allocator.BudgetAllocator` is wrapped in a
+  one-rack tree that reproduces the original rack loop exactly.
 
-``RackSimulation`` itself lives on in ``cluster/rack.py`` as a thin shim
-over a one-rack :class:`FleetSimulation`.
+A single rack is ``FleetSimulation(ReferenceBackend(servers), budget_w=...,
+allocation=allocator)``.
 """
 
 from __future__ import annotations

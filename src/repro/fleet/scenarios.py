@@ -135,22 +135,6 @@ class FleetScenario:
             periods_per_rack_period=self.periods_per_rack_period,
         )
 
-    def build_rack(self, n_servers: int | None = None):
-        """The legacy ``RackSimulation`` construction of this scenario."""
-        from ..cluster.rack import RackSimulation
-
-        allocation = self.allocation(n_servers)
-        if isinstance(allocation, BudgetTree):
-            raise ConfigurationError(
-                f"scenario {self.name!r} uses a budget tree; racks are flat"
-            )
-        return RackSimulation(
-            self.servers(n_servers),
-            allocation,
-            rack_budget_w=self.budget_w(n_servers),
-            periods_per_rack_period=self.periods_per_rack_period,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "soa" if self.soa_capable else "reference-only"
         return f"FleetScenario({self.name!r}, n={self.n_servers}, {kind})"

@@ -68,10 +68,9 @@ class ThermalNode:
     def step_many(nodes: "list[ThermalNode]", powers_w, dt_s: float) -> float:
         """Advance several nodes one tick; returns the hottest temperature.
 
-        Equivalent to calling :meth:`step` per node — each node keeps its
-        own ``math.exp`` (libm, so results match the scalar path exactly)
-        while the state updates collapse into one pass. Used by the server's
-        vectorized stepping path.
+        Equivalent to calling :meth:`step` per node, bit for bit — each node
+        keeps its own ``math.exp`` while the state updates collapse into one
+        pass. Used by :meth:`GpuServer.advance` on thermal servers.
         """
         import math
 

@@ -1,8 +1,8 @@
 """Static analysis for reproducibility: the ``repro lint`` rule engine.
 
-The repository's core guarantees — bit-identical digests across ``--jobs N``
-and across the scalar/vectorized engines — are dynamic properties enforced by
-tests that happen to exercise the right code paths. This package enforces the
+The repository's core guarantees — bit-identical digests across ``--jobs N``,
+across fleet backends and against the pinned golden ledger — are dynamic
+properties enforced by tests that happen to exercise the right code paths. This package enforces the
 *static* preconditions of those guarantees before any simulation runs:
 
 =========  =============================================================

@@ -58,8 +58,8 @@ class LintConfig:
     #: Modules whose wall-clock reads are timing infrastructure, excluded
     #: from digests by construction (see runner.TIMING_KEYS).
     wallclock_exempt: tuple[str, ...] = (
-        "repro.benchcompare", "repro.cli", "repro.lint", "repro.perf",
-        "repro.profiling", "repro.report", "repro.runner",
+        "repro.benchcompare", "repro.cli", "repro.lint", "repro.profiling",
+        "repro.report", "repro.runner",
     )
     #: The deterministic-RNG implementation itself.
     rng_impl_modules: tuple[str, ...] = ("repro.rng",)

@@ -1,8 +1,9 @@
 """REP2xx — float-semantics rules.
 
 Floating-point addition is not associative: the *order* of a reduction is
-part of its value. PR 3's vectorized engine is bit-identical to the scalar
-one precisely because every reduction order was preserved; these rules ban
+part of its value. The batched plant path is bit-identical to its
+per-device definition precisely because every reduction order was
+preserved; these rules ban
 the constructs that make reduction order depend on hash seeding, and the
 float comparisons that silently depend on representation.
 """
@@ -32,7 +33,7 @@ class FloatEqualityRule(Rule):
 
     ``x == 0.9`` compares bit patterns, not values: whether it holds
     depends on how ``x`` was computed, which is exactly the kind of
-    representation detail the scalar/vectorized mirrors are allowed to vary
+    representation detail the batched and per-device mirrors are allowed to vary
     while keeping *digest-relevant* outputs identical. Compare against
     exact integers, use ``math.isclose``, or restructure around a
     threshold. Exact-zero sentinels (``sigma == 0.0`` meaning "feature

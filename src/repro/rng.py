@@ -100,7 +100,7 @@ class BlockSampler:
     ``rng.poisson(lam)``, ...), which pays the Generator dispatch overhead on
     every draw. Pre-drawing a block with ``size=n`` consumes the *same*
     underlying bit stream as ``n`` scalar draws for the distributions used
-    here (normal, lognormal, poisson — verified by
+    here (normal, lognormal, poisson — verified by ``TestBlockSampler`` in
     ``tests/sim/test_vectorized_digest.py``), so handing out cached samples
     one at a time is bit-for-bit equivalent and an order of magnitude
     cheaper.

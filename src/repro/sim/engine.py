@@ -37,8 +37,6 @@ from ..faults import (
     FaultyServerActuator,
 )
 from ..hardware.server import GpuServer
-from ..enginemode import fast_enabled
-from ..perf import vectorized_enabled
 from ..rng import spawn
 from ..telemetry import (
     AcpiPowerMeter,
@@ -256,17 +254,12 @@ class ServerSimulation:
         self.trace = Trace(self._trace_channels(), capacity=1024)
         self.last_control_ms = 0.0
 
-        # Fast-path monitor feeding (fixed at construction): per-tick counts
-        # are summed into plain Python accumulators and flushed into the
-        # monitors once per control period. A monitor window built from one
-        # ``record(total, elapsed)`` call is bit-identical to one built from
-        # per-tick calls — the same float additions run in the same order,
-        # and seeding the window is ``0.0 + total == total`` exactly.
-        # The fast engine implies the vectorized path: its relaxed-semantics
-        # contract subsumes the bit-identical one, and the scalar loop is
-        # never the faster choice. With fast off this is exactly the old
-        # expression, so reference digests are unchanged.
-        self._vec = vectorized_enabled() or fast_enabled()
+        # Monitor feeding: per-tick counts are summed into plain Python
+        # accumulators and flushed into the monitors once per control
+        # period. A monitor window built from one ``record(total, elapsed)``
+        # call is bit-identical to one built from per-tick calls — the same
+        # float additions run in the same order, and seeding the window is
+        # ``0.0 + total == total`` exactly.
         self._tput_acc = [0.0] * server.n_channels
         self._util_acc = [0.0] * server.n_channels
         self._acc_elapsed = 0.0
@@ -330,7 +323,6 @@ class ServerSimulation:
     def _tick(self, record: PeriodRecord) -> None:
         cfg = self.config
         dt = cfg.dt_s
-        vec = self._vec
         tput_acc = self._tput_acc
         util_acc = self._util_acc
         self.actuator.tick()
@@ -347,20 +339,13 @@ class ServerSimulation:
             chan = gpu_channels[g]
             if pipe is None:
                 gpu._set_utilization_in_range(0.0)
-                if not vec:
-                    self.tput_monitors[chan].record(0.0, dt)
-                    self.util_monitors[chan].record(0.0, dt)
                 continue
             tick = pipe.step(t_now, dt, cpu_ghz, gpu._frequency_mhz)
             # gpu_busy_s <= dt by construction, so the ratio is in [0, 1]
             # and the validating scalar setter can be skipped.
             gpu._set_utilization_in_range(tick.gpu_busy_s / dt)
-            if vec:
-                tput_acc[chan] += tick.batches_completed
-                util_acc[chan] += tick.gpu_busy_s
-            else:
-                self.tput_monitors[chan].record(tick.batches_completed, dt)
-                self.util_monitors[chan].record(tick.gpu_busy_s, dt)
+            tput_acc[chan] += tick.batches_completed
+            util_acc[chan] += tick.gpu_busy_s
             preproc_busy_cores += pipe.config.n_workers * tick.preproc_busy_frac
             lats = tick.batch_latencies_s
             if lats:
@@ -376,35 +361,18 @@ class ServerSimulation:
         if self.fs is not None:
             fs_cores = self.fs.n_cores
             done, lats = self.fs.step(dt, cpu_ghz)
-            if vec:
-                tput_acc[cpu_chan] += done
-            else:
-                self.tput_monitors[cpu_chan].record(done, dt)
+            tput_acc[cpu_chan] += done
             record.fs_latencies.extend(lats)
-        elif not vec:
-            self.tput_monitors[cpu_chan].record(0.0, dt)
 
         busy_cores = preproc_busy_cores + fs_cores + _CONTROLLER_CORE_UTIL
         cpu_util = min(busy_cores / cpu.n_cores, 1.0)
         cpu._set_utilization_in_range(cpu_util)
-        if vec:
-            util_acc[cpu_chan] += cpu_util * dt
-        else:
-            self.util_monitors[cpu_chan].record(cpu_util * dt, dt)
-        # Additional CPU packages host no simulated workload: their monitors
-        # still need a window entry every tick, and their package
+        util_acc[cpu_chan] += cpu_util * dt
+        # Additional CPU packages host no simulated workload: their package
         # utilization reflects whatever the device model currently reports.
         for extra_chan in self.cpu_channels[1:]:
-            dev = self.server.device(extra_chan)
-            if vec:
-                util_acc[extra_chan] += dev.utilization * dt
-            else:
-                self.tput_monitors[extra_chan].record(0.0, dt)
-                self.util_monitors[extra_chan].record(
-                    dev.utilization * dt, dt
-                )
-        if vec:
-            self._acc_elapsed += dt
+            util_acc[extra_chan] += self.server.device(extra_chan).utilization * dt
+        self._acc_elapsed += dt
 
         p_true = self.server.step_all(dt)
         self.meter.accumulate(p_true, dt)
@@ -456,10 +424,10 @@ class ServerSimulation:
         return np.array(values, dtype=np.float64), arrived
 
     def _build_observation(self) -> ControlObservation:
-        if self._vec and self._acc_elapsed > 0:
+        if self._acc_elapsed > 0:
             # Flush the per-period accumulators into the monitors so the
-            # read_and_reset calls below see exactly the windows the scalar
-            # per-tick path would have built.
+            # read_and_reset calls below see exactly the windows per-tick
+            # recording would have built.
             elapsed = self._acc_elapsed
             tput_acc = self._tput_acc
             util_acc = self._util_acc

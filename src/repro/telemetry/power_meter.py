@@ -24,7 +24,6 @@ from collections import deque
 import numpy as np
 
 from ..errors import ConfigurationError, TelemetryError
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import require_positive
 
@@ -77,13 +76,11 @@ class AcpiPowerMeter:
         if noise_sigma_w > 0 and rng is None:
             raise ConfigurationError("rng is required when noise_sigma_w > 0")
         self.noise_sigma_w = float(noise_sigma_w)
-        self._rng = rng
-        # Sensor-noise draws come from a block sampler on the fast path —
-        # batch draws consume the generator stream identically to scalar
-        # draws, so emitted samples are bit-for-bit unchanged.
+        # Sensor-noise draws come from a block sampler — batch draws consume
+        # the generator stream identically to scalar draws.
         self._noise_sampler = (
             BlockSampler(rng, "normal", (0.0, self.noise_sigma_w))
-            if self.noise_sigma_w > 0 and vectorized_enabled()
+            if self.noise_sigma_w > 0
             else None
         )
         if buffer_len < 1:
@@ -111,11 +108,8 @@ class AcpiPowerMeter:
         # expected to divide the interval; tolerate float drift.
         if self._accum_t + 1e-9 >= self.sample_interval_s:
             mean_w = self._accum_j / self._accum_t
-            if self.noise_sigma_w > 0:
-                if self._noise_sampler is not None:
-                    mean_w += self._noise_sampler.next()
-                else:
-                    mean_w += self._rng.normal(0.0, self.noise_sigma_w)
+            if self._noise_sampler is not None:
+                mean_w += self._noise_sampler.next()
             quantized = round(mean_w / self.resolution_w) * self.resolution_w
             sample = PowerSample(self._seq, self._time_s, float(quantized))
             self._buffer.append(sample)

@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..perf import vectorized_enabled
 from ..rng import BlockSampler
 from ..units import require_non_negative, require_positive
 
@@ -64,22 +63,18 @@ class PoissonArrivals(ArrivalProcess):
         self._rng = rng
         # Per-tick counts are pre-drawn in blocks keyed on lambda = rate*dt
         # (batch draws consume the generator stream exactly like scalar
-        # draws, so the arrival sequence is bit-identical). If the rate is
-        # mutated mid-run the sampler re-keys, discarding any buffered
-        # draws — the stream stays seeded-deterministic but diverges from
-        # the scalar draw order from that point on.
-        self._vec = vectorized_enabled()
+        # draws). If the rate is mutated mid-run the sampler re-keys,
+        # discarding any buffered draws, so the stream stays
+        # seeded-deterministic but skips the rest of the old block.
         self._sampler: BlockSampler | None = None
         self._sampler_lam: float | None = None
 
     def arrivals(self, t_s: float, dt_s: float) -> float:
         lam = self.rate * dt_s
-        if self._vec:
-            if lam != self._sampler_lam:
-                self._sampler = BlockSampler(self._rng, "poisson", (lam,))
-                self._sampler_lam = lam
-            return float(self._sampler.next())
-        return float(self._rng.poisson(lam))
+        if lam != self._sampler_lam:
+            self._sampler = BlockSampler(self._rng, "poisson", (lam,))
+            self._sampler_lam = lam
+        return float(self._sampler.next())
 
 
 class TraceArrivals(ArrivalProcess):

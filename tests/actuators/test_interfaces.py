@@ -29,7 +29,10 @@ class TestCpupower:
         server, act = setup
         iface = CpupowerInterface(server, act)
         iface.frequency_set("1.65GHz")
-        applied = [act.tick()[0] for _ in range(100)]
+        applied = []
+        for _ in range(100):
+            act.tick()
+            applied.append(server.cpus[0].frequency_mhz)
         assert sum(applied) / len(applied) == pytest.approx(1650.0, abs=5.0)
 
     @pytest.mark.parametrize("bad", ["1.6", "1.6MHz", "fastGHz", "GHz", ""])

@@ -1,18 +1,23 @@
-"""Rack simulation over multiple CapGPU servers."""
+"""A rack of CapGPU servers: a one-rack fleet on the reference backend."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    FairShareAllocator,
-    ProportionalDemandAllocator,
-    RackServer,
-    RackSimulation,
-)
+from repro.cluster import FairShareAllocator, ProportionalDemandAllocator
 from repro.core import build_capgpu
 from repro.errors import ConfigurationError
 from repro.experiments.common import identified_model
+from repro.fleet import FleetServer, FleetSimulation, ReferenceBackend
 from repro.sim import paper_scenario
+
+
+def rack_of(servers, allocator, budget_w, periods=5):
+    return FleetSimulation(
+        ReferenceBackend(servers),
+        budget_w=budget_w,
+        allocation=allocator,
+        periods_per_rack_period=periods,
+    )
 
 
 def make_rack(n=2, budget=1800.0, allocator=None, periods=3, seed0=70):
@@ -20,26 +25,21 @@ def make_rack(n=2, budget=1800.0, allocator=None, periods=3, seed0=70):
     for i in range(n):
         sim = paper_scenario(seed=seed0 + i, set_point_w=budget / n)
         ctl = build_capgpu(sim, model=identified_model(0))
-        servers.append(RackServer(f"srv{i}", sim, ctl))
-    return RackSimulation(
-        servers,
-        allocator or FairShareAllocator(),
-        rack_budget_w=budget,
-        periods_per_rack_period=periods,
-    )
+        servers.append(FleetServer(f"srv{i}", sim, ctl))
+    return rack_of(servers, allocator or FairShareAllocator(), budget, periods)
 
 
 class TestConstruction:
     def test_requires_servers(self):
         with pytest.raises(ConfigurationError):
-            RackSimulation([], FairShareAllocator(), 1000.0)
+            rack_of([], FairShareAllocator(), 1000.0)
 
     def test_duplicate_names_rejected(self):
         sim = paper_scenario(seed=70)
         ctl = build_capgpu(sim, model=identified_model(0))
-        servers = [RackServer("x", sim, ctl), RackServer("x", sim, ctl)]
+        servers = [FleetServer("x", sim, ctl), FleetServer("x", sim, ctl)]
         with pytest.raises(ConfigurationError):
-            RackSimulation(servers, FairShareAllocator(), 1000.0)
+            rack_of(servers, FairShareAllocator(), 1000.0)
 
     def test_budget_validated(self):
         with pytest.raises(ConfigurationError):
@@ -87,18 +87,3 @@ class TestRun:
         rack = make_rack()
         with pytest.raises(ConfigurationError):
             rack.run(0)
-
-    def test_rack_budget_property_delegates_to_set_budget(self):
-        """The shim keeps ``rack_budget_w`` as a live alias of the fleet
-        budget: assigning it mid-run changes the next allocation round."""
-        from repro.fleet.scenarios import fleet_scenario
-
-        rack = fleet_scenario("fair-static").build_rack(2)
-        rack.run(1)
-        assert rack.rack_budget_w == rack.budget_w
-        rack.rack_budget_w = 1400.0
-        assert rack.budget_w == 1400.0
-        rack.run(1)
-        assert rack.trace.last("budget_w") == 1400.0
-        with pytest.raises(ConfigurationError):
-            rack.rack_budget_w = -1.0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fast.mode import (
+from repro.enginemode import (
     ENGINES,
     engine_name,
     fast_enabled,

@@ -3,8 +3,9 @@
 Three layers of bit-for-bit equivalence, each pinned by canonical digests
 (timing channels excluded, everything else exact):
 
-1. the ``RackSimulation`` shim vs a literal transcription of the pre-shim
-   rack loop (the *oracle* below) — the refactor changed no floats;
+1. a one-rack :class:`FleetSimulation` on the reference backend vs a
+   literal transcription of the original rack loop (the *oracle* below) —
+   the fleet refactor changed no floats;
 2. the structure-of-arrays backend vs the reference backend (N scalar
    engines) on every SoA-capable registered scenario;
 3. ``snapshot()``/``restore()`` mid-run vs an uninterrupted run.
@@ -14,41 +15,25 @@ smoke runs under ``fleet_smoke`` (both off by default, on in CI's
 fleet-equivalence job).
 """
 
-import hashlib
-
 import numpy as np
 import pytest
 
-from repro.cluster.rack import RackSimulation
-from repro.fleet import FleetSimulation, ReferenceBackend, SoaFleetBackend
+from repro.fleet import FleetSimulation, ReferenceBackend
 from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario
-from repro.runner import _canonicalize, canonical_json
 from repro.telemetry.trace import Trace
+from tests.golden.regen import fleet_digests
+from tests.golden.regen import trace_digest as digest
 
 SOA_SCENARIOS = sorted(n for n, s in FLEET_SCENARIOS.items() if s.soa_capable)
 
 
-def digest(trace: Trace) -> str:
-    return hashlib.sha256(
-        canonical_json(_canonicalize(trace)).encode()
-    ).hexdigest()
-
-
-def fleet_digests(fleet: FleetSimulation) -> list[str]:
-    """Fleet trace digest + every per-server trace digest."""
-    out = [digest(fleet.trace)]
-    for i in range(fleet.n_servers):
-        out.append(digest(fleet.backend.server_trace(i)))
-    return out
-
-
-# -- the oracle: the pre-shim RackSimulation.run loop, verbatim --------------
+# -- the oracle: the original rack loop, verbatim ----------------------------
 
 
 class OracleRack:
-    """Literal transcription of the original ``RackSimulation`` (before it
-    became a shim over :class:`FleetSimulation`), kept here as the fixed
-    point the refactor is differenced against. Operates on the same
+    """Literal transcription of the original rack simulation loop (before
+    racks became one-rack :class:`FleetSimulation` runs), kept here as the
+    fixed point the refactor is differenced against. Operates on the same
     ``FleetServer`` construction but steps and records with the old loop's
     own code — including its interleaved set-budget-then-run order and its
     old trace layout (no ``alloc_ms`` channel)."""
@@ -125,36 +110,43 @@ def run_oracle(scenario, n_rounds):
     return oracle
 
 
-# -- layer 1: the shim reproduces the old rack loop --------------------------
+# -- layer 1: a one-rack fleet reproduces the old rack loop ------------------
+
+
+def rack_fleet(scenario):
+    """The scenario as one rack: scalar servers under its flat allocator."""
+    return FleetSimulation(
+        ReferenceBackend(scenario.servers()),
+        budget_w=scenario.budget_w(),
+        allocation=scenario.allocation(),
+        periods_per_rack_period=scenario.periods_per_rack_period,
+    )
+
+
+def assert_rack_matches_oracle(scenario, n_rounds):
+    oracle = run_oracle(scenario, n_rounds)
+    rack = rack_fleet(scenario)
+    rack.run(n_rounds)
+    assert digest(rack.trace) == digest(oracle.trace)
+    for i, server in enumerate(oracle.servers):
+        assert digest(rack.backend.server_trace(i)) == digest(server.sim.trace)
+    return rack
 
 
 @pytest.mark.parametrize(
     "name", ["fair-static", "demand-static", "priority-static", "paper-rack"]
 )
 def test_rack_shim_matches_oracle(name):
-    scenario = fleet_scenario(name)
-    n_rounds = 3
-    oracle = run_oracle(scenario, n_rounds)
-    shim = scenario.build_rack()
-    shim.run(n_rounds)
-    assert digest(shim.trace) == digest(oracle.trace)
-    for i, server in enumerate(oracle.servers):
-        assert digest(shim.backend.server_trace(i)) == digest(server.sim.trace)
+    assert_rack_matches_oracle(fleet_scenario(name), n_rounds=3)
 
 
 @pytest.mark.chaos
 def test_chaos_rack_shim_matches_oracle():
-    """Fault-injected servers (meter dropout + freeze) through the shim."""
-    scenario = fleet_scenario("chaos-rack")
-    n_rounds = 5  # long enough that both fault windows open and close
-    oracle = run_oracle(scenario, n_rounds)
-    shim = scenario.build_rack()
-    shim.run(n_rounds)
-    assert digest(shim.trace) == digest(oracle.trace)
-    for i, server in enumerate(oracle.servers):
-        assert digest(shim.backend.server_trace(i)) == digest(server.sim.trace)
+    """Fault-injected servers (meter dropout + freeze) as a one-rack fleet."""
+    # Five rounds: long enough that both fault windows open and close.
+    rack = assert_rack_matches_oracle(fleet_scenario("chaos-rack"), n_rounds=5)
     # The faults actually fired: some periods lost all meter samples.
-    fresh = shim.backend.server_trace(0)["fresh_samples"]
+    fresh = rack.backend.server_trace(0)["fresh_samples"]
     assert (fresh == 0.0).any()
 
 

@@ -51,10 +51,6 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             fleet_scenario("paper-rack").specs()
 
-    def test_tree_scenario_refuses_rack_build(self):
-        with pytest.raises(ConfigurationError):
-            fleet_scenario("tree-static").build_rack(4)
-
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigurationError):
             fleet_scenario("no-such-fleet")

@@ -1,5 +1,6 @@
 """Fan and thermal models."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -73,3 +74,23 @@ class TestThermalNode:
         node.step(300.0, 100.0)
         node.reset()
         assert node.temperature_c == 27.0
+
+    def test_step_many_equals_per_node_steps(self):
+        """The server's batched thermal update is bitwise a sequence of
+        ``node.step`` calls, hottest temperature included."""
+        def nodes():
+            return [
+                ThermalNode(r_th_c_per_w=0.08 + 0.01 * i, tau_s=5.0 + 3.0 * i,
+                            t_ambient_c=24.0 + i)
+                for i in range(5)
+            ]
+
+        batched, scalar = nodes(), nodes()
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            powers = rng.uniform(50.0, 350.0, size=5).tolist()
+            dt = float(rng.choice([0.01, 0.1, 1.0]))
+            hottest = ThermalNode.step_many(batched, powers, dt)
+            temps = [node.step(p, dt) for node, p in zip(scalar, powers)]
+            assert [n.temperature_c for n in batched] == temps
+            assert hottest == max(temps)

@@ -138,3 +138,67 @@ class TestPresets:
         a, b = v100_server(seed=5), v100_server(seed=5)
         a.advance(0.1), b.advance(0.1)
         assert a.total_power_w() == pytest.approx(b.total_power_w())
+
+
+class TestBankedPowerOracle:
+    """The banked plant update equals per-device ``Device.power_w()`` sums
+    bit for bit, on both sides of ``step_all``'s scalar (< 8 devices, no
+    thermal) vs array selection."""
+
+    @staticmethod
+    def drive(servers, rng):
+        """Put identical random grid levels and utilizations on every server."""
+        n = len(servers[0].devices)
+        levels = [
+            float(rng.choice(d.domain.levels)) for d in servers[0].devices
+        ]
+        utils = rng.uniform(0.0, 1.0, size=n).tolist()
+        for s in servers:
+            for d, f, u in zip(s.devices, levels, utils):
+                d.apply_frequency(f)
+                d.set_utilization(u)
+
+    @staticmethod
+    def per_device_step(server, dt_s):
+        """The plant tick written per device: thermal nodes stepped one at
+        a time, then the wall-power sum over ``Device.power_w()``."""
+        if server.noise is not None:
+            server._noise_value = server.noise.sample()
+        if server.thermal_nodes is not None:
+            hottest = -np.inf
+            for node, dev in zip(server.thermal_nodes, server.devices):
+                hottest = max(hottest, node.step(dev.power_w(), dt_s))
+            server.fan.update(hottest)
+        comp = np.array([d.power_w() for d in server.devices], dtype=np.float64)
+        p = server.static_power_w + server.fan.power_w() + float(comp.sum())
+        if server.noise is not None:
+            p += server._noise_value
+        cpu_p = float(sum(c.power_w() for c in server.cpus))
+        return p, cpu_p
+
+    @pytest.mark.parametrize(
+        ("build", "fast_power"),
+        [
+            (lambda: v100_server(seed=3), True),
+            (lambda: custom_server(n_cpus=2, n_gpus=8, seed=3), False),
+            (lambda: v100_server(seed=3, thermal=True), False),
+        ],
+        ids=["v100", "custom-10-devices", "v100-thermal"],
+    )
+    def test_step_all_equals_per_device_sums(self, build, fast_power):
+        banked, oracle = build(), build()
+        assert banked._fast_power is fast_power
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            self.drive([banked, oracle], rng)
+            comp = banked.component_power_w()
+            want_comp = np.array([d.power_w() for d in oracle.devices])
+            assert np.array_equal(comp, want_comp)
+            got = banked.step_all(0.1)
+            want, want_cpu = self.per_device_step(oracle, 0.1)
+            assert got == want
+            assert banked.last_cpu_power_w == want_cpu
+        if banked.thermal_nodes is not None:
+            assert [n.temperature_c for n in banked.thermal_nodes] == [
+                n.temperature_c for n in oracle.thermal_nodes
+            ]
