@@ -39,7 +39,9 @@ __all__ = [
 ]
 
 FORMAT = "repro-checkpoint"
-SCHEMA_VERSION = 1
+#: Version 2: samplers pack their prefetched block as one float64 array and
+#: SoA fleets keep their period history as one array.
+SCHEMA_VERSION = 2
 MAGIC = b"REPROCKPT1"
 
 _REQUIRED_KEYS = ("format", "schema_version", "repro_version", "created", "summary", "state")

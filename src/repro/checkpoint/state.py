@@ -382,7 +382,10 @@ class _Restore:
                     f"{node['cls']} was checkpointed with __repro_getstate__ but "
                     "has no __repro_setstate__"
                 )
-            setstate(self.restore(node["custom"], None))
+            # Restore against the live object's own projection, so what it
+            # shares with the rest of the graph (a generator) restores in place.
+            counterpart = target.__repro_getstate__() if target is existing else None
+            setstate(self.restore(node["custom"], counterpart))
             return target
         for attr, tag in node["state"]:
             current = getattr(target, attr, None)

@@ -39,9 +39,11 @@ __all__ = [
     "TOLERANCES",
     "SETTLE_BAND_FRAC",
     "server_metrics",
+    "settle_index",
     "EquivRow",
     "EquivReport",
     "compare_backends",
+    "compare_metrics",
     "compare_traces",
     "run_fleet_equivalence",
     "run_scalar_capgpu_equivalence",
@@ -127,16 +129,21 @@ def server_metrics(
     )
     band = settle_band_frac * np.abs(set_point)
     inside = finite & (np.abs(err) <= band)
-    settle = len(inside)
-    for k in range(len(inside) - 1, -1, -1):
-        if not inside[k]:
-            break
-        settle = k
     return {
         "power_err_w": power_err_w,
         "violation_rate": violation_rate,
-        "settle_periods": float(settle),
+        "settle_periods": float(settle_index(inside)),
     }
+
+
+def settle_index(inside: np.ndarray) -> int:
+    """First index from which every entry of the boolean mask is true.
+
+    One past the last ``False`` entry; ``len(inside)`` when the last entry
+    is ``False``, ``0`` when every entry is true.
+    """
+    outside = np.flatnonzero(~np.asarray(inside, dtype=bool))
+    return int(outside[-1]) + 1 if outside.size else 0
 
 
 @dataclass(frozen=True)
@@ -195,14 +202,27 @@ def compare_traces(
     tolerances: tuple[ToleranceSpec, ...] = TOLERANCES,
 ) -> EquivReport:
     """Paired equivalence report from matched per-server trace lists."""
-    if len(reference) != len(fast) or not reference:
+    return compare_metrics(
+        [server_metrics(t) for t in reference],
+        [server_metrics(t) for t in fast],
+        scenario=scenario,
+        tolerances=tolerances,
+    )
+
+
+def compare_metrics(
+    ref_metrics: list[dict[str, float]],
+    fast_metrics: list[dict[str, float]],
+    scenario: str = "custom",
+    tolerances: tuple[ToleranceSpec, ...] = TOLERANCES,
+) -> EquivReport:
+    """Paired equivalence report from matched :func:`server_metrics` lists."""
+    if len(ref_metrics) != len(fast_metrics) or not ref_metrics:
         raise ConfigurationError(
-            f"paired comparison needs equal nonempty trace lists, got "
-            f"{len(reference)} reference vs {len(fast)} fast"
+            f"paired comparison needs equal nonempty per-server lists, got "
+            f"{len(ref_metrics)} reference vs {len(fast_metrics)} fast"
         )
-    ref_metrics = [server_metrics(t) for t in reference]
-    fast_metrics = [server_metrics(t) for t in fast]
-    report = EquivReport(scenario=scenario, n_servers=len(reference))
+    report = EquivReport(scenario=scenario, n_servers=len(ref_metrics))
     for spec in tolerances:
         diffs = np.array(
             [

@@ -31,7 +31,7 @@ import numpy as np
 from ..cluster.allocator import ServerPowerState
 from ..errors import ConfigurationError
 from ..fleet.engine import FleetBackend
-from ..fleet.soa import DEFAULT_GPU_SPECS, SoaServerSpec
+from ..fleet.soa import DEFAULT_GPU_SPECS, SoaServerSpec, power_states
 from ..sim.engine import SimConfig
 from ..telemetry.trace import Trace
 from ..workloads.static import StaticLoadSpec
@@ -63,13 +63,13 @@ def _worker_main(
             cmd, payload = conn.recv()
             if cmd == "run":
                 backend.run_periods(payload)
-                view[:] = backend._rows[-1]
+                view[:] = backend._history.last()
                 conn.send(("ok", backend.period_index))
             elif cmd == "budgets":
                 backend.set_budgets(payload)
                 conn.send(("ok", None))
             elif cmd == "trace":
-                conn.send(("ok", [row[payload].tolist() for row in backend._rows]))
+                conn.send(("ok", backend.server_trace(payload)))
             elif cmd == "close":
                 conn.send(("ok", None))
                 return
@@ -118,10 +118,10 @@ class ParallelFleetBackend(FleetBackend):
         self._shm = shared_memory.SharedMemory(
             create=True, size=n * len(self._channels) * 8
         )
-        self._rows = np.ndarray(
+        self._last = np.ndarray(
             (n, len(self._channels)), dtype=np.float64, buffer=self._shm.buf
         )
-        self._rows[:] = np.nan
+        self._last[:] = np.nan
 
         bounds = np.linspace(0, n, n_workers + 1).astype(int)
         ctx = mp.get_context(
@@ -203,40 +203,12 @@ class ParallelFleetBackend(FleetBackend):
         return list(self._names)
 
     def states(self) -> list[ServerPowerState]:
-        n = len(self.specs)
-        lo, hi = self._envelope
-        if self._ran:
-            last = self._rows
-            power = last[:, self._chan_index["power_w"]]
-            pressure: np.ndarray | None = None
-            for g in range(self.n_gpus):
-                c = 1 + g
-                pg = np.maximum(
-                    last[:, self._chan_index[f"util_{c}"]]
-                    - last[:, self._chan_index[f"tput_norm_{c}"]],
-                    0.0,
-                )
-                pressure = pg if pressure is None else pressure + pg
-            demand = np.clip(pressure / self.n_gpus, 0.0, 1.0)
-        else:
-            power = np.full(n, np.nan)
-            demand = np.ones(n)
-        return [
-            ServerPowerState(
-                name=self._names[i],
-                power_w=float(power[i]),
-                p_min_w=lo,
-                p_max_w=hi,
-                demand=float(demand[i]),
-                priority=self._priorities[i],
-            )
-            for i in range(n)
-        ]
+        return power_states(self, self._last if self._ran else None)
 
     def last_powers(self) -> list[float]:
         if not self._ran:
             raise ConfigurationError("fleet has not run yet")
-        return self._rows[:, self._chan_index["power_w"]].tolist()
+        return self._last[:, self._chan_index["power_w"]].tolist()
 
     def server_trace(self, index: int) -> Trace:
         if index < 0 or index >= len(self.specs):
@@ -245,12 +217,9 @@ class ParallelFleetBackend(FleetBackend):
             if lo <= index < hi:
                 conn = self._conns[w]
                 conn.send(("trace", index - lo))
-                status, rows = conn.recv()
+                status, trace = conn.recv()
                 if status != "ok":  # pragma: no cover - protocol guard
-                    raise ConfigurationError(f"fleet worker failed: {rows}")
-                trace = Trace(self._channels, capacity=max(len(rows), 1))
-                for row in rows:
-                    trace.append_row(dict(zip(self._channels, row)))
+                    raise ConfigurationError(f"fleet worker failed: {trace}")
                 return trace
         raise ConfigurationError(f"no worker owns server index {index}")
 
@@ -272,7 +241,7 @@ class ParallelFleetBackend(FleetBackend):
             proc.join(timeout=10)
             if proc.is_alive():  # pragma: no cover - stuck-worker fallback
                 proc.terminate()
-        del self._rows
+        del self._last
         self._shm.close()
         try:
             self._shm.unlink()

@@ -48,7 +48,7 @@ from ..actuators.modulator import DeltaSigmaModulator
 from ..cluster.allocator import ServerPowerState
 from ..control.base import ControlObservation, PowerCappingController
 from ..control.fixed_step import FixedStepController, SafeFixedStepController
-from ..errors import ActuationError, ConfigurationError
+from ..errors import ActuationError, CheckpointError, ConfigurationError
 from ..hardware.presets import v100_server
 from ..rng import BlockSampler, spawn
 from ..sim.engine import POWER_SOURCES, ServerSimulation, SimConfig
@@ -61,6 +61,7 @@ from .engine import FleetBackend, FleetServer
 __all__ = [
     "SoaServerSpec",
     "SoaFleetBackend",
+    "PeriodHistory",
     "DEFAULT_GPU_SPECS",
     "build_scalar_twin",
     "fleet_identified_model",
@@ -173,6 +174,95 @@ def build_scalar_twin(
         seed=spec.seed,
     )
     return FleetServer(spec.name, sim, spec.build_controller(), spec.priority)
+
+
+class PeriodHistory:
+    """The fleet's period history: one ``(periods, servers, channels)`` array.
+
+    Each control period appends one ``(servers, channels)`` row in place.
+    The array starts small and doubles when full, so recording stays
+    amortized O(1) without a reservation sized to a guessed run length.
+    A checkpoint captures only the recorded rows, as one array.
+    """
+
+    INITIAL_CAPACITY = 8
+
+    def __init__(self, n_servers: int, n_channels: int):
+        self._data = np.empty(
+            (self.INITIAL_CAPACITY, n_servers, n_channels), dtype=np.float64
+        )
+        self._len = 0
+
+    def __len__(self) -> int:
+        return self._len
+
+    def next_row(self) -> np.ndarray:
+        """Record one period: its NaN-filled ``(servers, channels)`` row view."""
+        if self._len == self._data.shape[0]:
+            grown = np.empty((2 * self._len, *self._data.shape[1:]), dtype=np.float64)
+            grown[: self._len] = self._data
+            self._data = grown
+        row = self._data[self._len]
+        row.fill(np.nan)
+        self._len += 1
+        return row
+
+    def last(self) -> np.ndarray | None:
+        """A view of the newest row, or ``None`` before the first period."""
+        return self._data[self._len - 1] if self._len else None
+
+    def server(self, index: int) -> np.ndarray:
+        """A view of every recorded row of one server, ``(periods, channels)``."""
+        return self._data[: self._len, index, :]
+
+    def __repro_getstate__(self) -> dict:
+        return {"rows": self._data[: self._len]}
+
+    def __repro_setstate__(self, state: dict) -> None:
+        rows = state["rows"]
+        if rows.shape[1:] != self._data.shape[1:]:
+            raise CheckpointError(
+                f"fleet history shape {rows.shape[1:]} does not match "
+                f"this fleet's {self._data.shape[1:]}"
+            )
+        if len(rows) > self._data.shape[0]:
+            self._data = np.empty(rows.shape, dtype=np.float64)
+        self._data[: len(rows)] = rows
+        self._len = len(rows)
+
+
+def power_states(backend, last: np.ndarray | None) -> list[ServerPowerState]:
+    """Allocator snapshots of a SoA-layout fleet from its newest row.
+
+    ``last`` is the ``(servers, channels)`` row of the latest period, or
+    ``None`` before the first one. ``backend`` supplies the layout: names,
+    priorities, the power envelope, the channel index and the GPU count.
+    """
+    n = len(backend.specs)
+    lo, hi = backend._envelope
+    if last is not None:
+        ix = backend._chan_index
+        power = last[:, ix["power_w"]]
+        pressure: np.ndarray | None = None
+        for g in range(backend.n_gpus):
+            c = 1 + g
+            pg = np.maximum(last[:, ix[f"util_{c}"]] - last[:, ix[f"tput_norm_{c}"]], 0.0)
+            pressure = pg if pressure is None else pressure + pg
+        demand = np.clip(pressure / backend.n_gpus, 0.0, 1.0)
+    else:
+        power = np.full(n, np.nan)
+        demand = np.ones(n)
+    return [
+        ServerPowerState(
+            name=backend._names[i],
+            power_w=float(power[i]),
+            p_min_w=lo,
+            p_max_w=hi,
+            demand=float(demand[i]),
+            priority=backend._priorities[i],
+        )
+        for i in range(n)
+    ]
 
 
 class SoaFleetBackend(FleetBackend):
@@ -315,7 +405,7 @@ class SoaFleetBackend(FleetBackend):
         self._last_ctl_ms = 0.0
         self._channels = self._trace_channels()
         self._chan_index = {c: i for i, c in enumerate(self._channels)}
-        self._rows: list[np.ndarray] = []
+        self._history = PeriodHistory(n, len(self._channels))
 
     # -- layout ------------------------------------------------------------
 
@@ -339,49 +429,20 @@ class SoaFleetBackend(FleetBackend):
     # -- FleetBackend interface --------------------------------------------
 
     def states(self) -> list[ServerPowerState]:
-        n = len(self.specs)
-        lo, hi = self._envelope
-        if self._rows:
-            last = self._rows[-1]
-            power = last[:, self._chan_index["power_w"]]
-            pressure: np.ndarray | None = None
-            for g in range(self.n_gpus):
-                c = 1 + g
-                pg = np.maximum(
-                    last[:, self._chan_index[f"util_{c}"]]
-                    - last[:, self._chan_index[f"tput_norm_{c}"]],
-                    0.0,
-                )
-                pressure = pg if pressure is None else pressure + pg
-            demand = np.clip(pressure / self.n_gpus, 0.0, 1.0)
-        else:
-            power = np.full(n, np.nan)
-            demand = np.ones(n)
-        return [
-            ServerPowerState(
-                name=self._names[i],
-                power_w=float(power[i]),
-                p_min_w=lo,
-                p_max_w=hi,
-                demand=float(demand[i]),
-                priority=self._priorities[i],
-            )
-            for i in range(n)
-        ]
+        return power_states(self, self._history.last())
 
     def set_budgets(self, budgets_w: list[float]) -> None:
         self._set_point[:] = budgets_w
 
     def last_powers(self) -> list[float]:
-        if not self._rows:
+        last = self._history.last()
+        if last is None:
             raise ConfigurationError("fleet has not run yet")
-        return self._rows[-1][:, self._chan_index["power_w"]].tolist()
+        return last[:, self._chan_index["power_w"]].tolist()
 
     def server_trace(self, index: int) -> Trace:
-        trace = Trace(self._channels, capacity=max(len(self._rows), 1))
-        for row in self._rows:
-            trace.append_row(dict(zip(self._channels, row[index].tolist())))
-        return trace
+        """A copy of server ``index``'s recorded periods (one slice copy)."""
+        return Trace.from_array(self._channels, self._history.server(index))
 
     # -- stepping ----------------------------------------------------------
 
@@ -728,7 +789,7 @@ class SoaFleetBackend(FleetBackend):
         f_applied: np.ndarray,
     ) -> None:
         n = len(self.specs)
-        row = np.full((n, len(self._channels)), np.nan)
+        row = self._history.next_row()
         ix = self._chan_index
         row[:, ix["time_s"]] = self.time_s
         row[:, ix["period"]] = float(self.period_index)
@@ -753,4 +814,3 @@ class SoaFleetBackend(FleetBackend):
         # per-batch latencies (matching its scalar twin), and no SLOs or
         # feature-selection workload exist on the SoA path.
         row[:, ix["cpu_tput"]] = tput_raw[:, 0]
-        self._rows.append(row)

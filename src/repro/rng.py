@@ -169,3 +169,28 @@ class BlockSampler:
         out.extend(buf[:need])
         self._i = need
         return out
+
+    # -- checkpointing (see repro.checkpoint.state) --------------------------
+
+    def __repro_getstate__(self) -> dict:
+        """The sampler's state with the prefetched block as one float64 array.
+
+        A float64 array round-trips every Python float exactly, so a
+        restored sampler continues ``next()``/``take()`` bit for bit.
+        """
+        return {
+            "rng": self._rng,
+            "dist": self._dist,
+            "args": self._args,
+            "block": self._block,
+            "buf": np.array(self._buf, dtype=np.float64),
+            "i": self._i,
+        }
+
+    def __repro_setstate__(self, state: dict) -> None:
+        self._rng = state["rng"]
+        self._dist = state["dist"]
+        self._args = state["args"]
+        self._block = state["block"]
+        self._buf = state["buf"].tolist()
+        self._i = state["i"]

@@ -24,7 +24,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from ..equiv import EquivReport, compare_traces
+from ..equiv import EquivReport, compare_metrics, server_metrics
 from ..errors import ConfigurationError
 from ..fleet.engine import FleetSimulation, ReferenceBackend
 from ..fleet.scenarios import FleetScenario, fleet_scenario
@@ -209,6 +209,8 @@ class TwinRunner:
             periods_per_rack_period=sc.periods_per_rack_period,
         )
         self.windows_advanced = 0
+        self._metrics: list[dict[str, float]] = []
+        self._metrics_periods = -1
 
     @classmethod
     def for_shadow(
@@ -276,6 +278,22 @@ class TwinRunner:
             out["tracking_err_w"] = power - budget
         return out
 
+    def server_metrics(self) -> list[dict[str, float]]:
+        """:func:`repro.equiv.server_metrics` of every server's trace.
+
+        Memoized on the fleet's rack-period count, so a commit computes
+        each twin's metrics once however many shadows compare against it.
+        """
+        periods = self.fleet.rack_period
+        if periods != self._metrics_periods:
+            backend = self.fleet.backend
+            self._metrics = [
+                server_metrics(backend.server_trace(i))
+                for i in range(self.fleet.n_servers)
+            ]
+            self._metrics_periods = periods
+        return self._metrics
+
     def equiv_vs(self, deployed: "TwinRunner") -> EquivReport:
         """Paired shadow-vs-deployed deltas through the equiv tolerances.
 
@@ -288,9 +306,9 @@ class TwinRunner:
         different operating point, not noise.
         """
         n = min(self.fleet.n_servers, deployed.fleet.n_servers)
-        return compare_traces(
-            [deployed.fleet.backend.server_trace(i) for i in range(n)],
-            [self.fleet.backend.server_trace(i) for i in range(n)],
+        return compare_metrics(
+            deployed.server_metrics()[:n],
+            self.server_metrics()[:n],
             scenario=f"shadow:{self.scenario}",
         )
 

@@ -44,6 +44,24 @@ class Trace:
         self._data = np.full((int(capacity), len(names)), np.nan, dtype=np.float64)
         self._len = 0
 
+    @classmethod
+    def from_array(cls, channels: Iterable[str], data: np.ndarray) -> Trace:
+        """A trace whose rows are a copy of ``data``, shaped ``(rows, channels)``.
+
+        Equal, value for value, to appending each row of ``data`` in turn;
+        the one copy decouples the trace from the caller's array.
+        """
+        trace = cls(channels, capacity=1)
+        rows = np.array(data, dtype=np.float64, order="C")
+        if rows.ndim != 2 or rows.shape[1] != len(trace._names):
+            raise ConfigurationError(
+                f"expected a (rows, {len(trace._names)}) array, got shape {rows.shape}"
+            )
+        if len(rows):
+            trace._data = rows
+            trace._len = len(rows)
+        return trace
+
     # -- recording ---------------------------------------------------------
 
     def append(self, **values: float) -> None:

@@ -20,6 +20,13 @@ def small_blob() -> dict:
     )
 
 
+def write_with_schema(path, body: dict, schema_version: int) -> None:
+    """Write ``body`` as a digest-valid blob claiming ``schema_version``."""
+    raw = pickle.dumps({**body, "schema_version": schema_version})
+    digest = hashlib.sha256(raw).hexdigest().encode("ascii")
+    path.write_bytes(MAGIC + b"\n" + digest + b"\n" + raw)
+
+
 class TestRoundTrip:
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "run.ckpt"
@@ -60,6 +67,15 @@ class TestRejection:
         path = tmp_path / "future.ckpt"
         path.write_bytes(MAGIC + b"\n" + digest + b"\n" + raw)
         with pytest.raises(CheckpointError, match="unsupported checkpoint schema"):
+            load_blob(path)
+
+    def test_schema_1_blob_refused(self, tmp_path):
+        """Version 2 changed the sampler and fleet-history layouts; a
+        version 1 blob must not be restored into this build."""
+        assert SCHEMA_VERSION == 2
+        path = tmp_path / "old.ckpt"
+        write_with_schema(path, small_blob(), 1)
+        with pytest.raises(CheckpointError, match="schema version 1"):
             load_blob(path)
 
     def test_validate_requires_schema_keys(self):

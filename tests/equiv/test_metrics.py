@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.equiv import (
     SETTLE_BAND_FRAC,
@@ -11,6 +13,7 @@ from repro.equiv import (
     ToleranceSpec,
     compare_traces,
     server_metrics,
+    settle_index,
 )
 from repro.errors import ConfigurationError
 from repro.telemetry.trace import Trace
@@ -25,6 +28,45 @@ def make_trace(power, set_point=900.0, peak=None):
             {"power_w": p, "set_point_w": set_point, "power_max_w": mx}
         )
     return trace
+
+
+def loop_settle(inside):
+    """The reverse Python scan ``server_metrics`` used before
+    :func:`settle_index`: the oracle for the index search."""
+    settle = len(inside)
+    for k in range(len(inside) - 1, -1, -1):
+        if not inside[k]:
+            break
+        settle = k
+    return settle
+
+
+class TestSettleIndex:
+    @given(st.lists(st.booleans(), min_size=1, max_size=64))
+    def test_equals_reverse_scan(self, mask):
+        assert settle_index(np.array(mask)) == loop_settle(mask)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_all_true_and_all_false(self, n):
+        assert settle_index(np.ones(n, dtype=bool)) == loop_settle([True] * n) == 0
+        assert settle_index(np.zeros(n, dtype=bool)) == loop_settle([False] * n) == n
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=850.0, max_value=950.0),
+                st.just(float("nan")),
+            ),
+            min_size=1,
+            max_size=48,
+        )
+    )
+    def test_server_metrics_settle_equals_reverse_scan(self, power):
+        """NaN errors are outside the band, through ``server_metrics``."""
+        err = np.asarray(power) - 900.0
+        inside = np.isfinite(err) & (np.abs(err) <= SETTLE_BAND_FRAC * 900.0)
+        got = server_metrics(make_trace(power))["settle_periods"]
+        assert got == float(loop_settle(inside.tolist()))
 
 
 class TestServerMetrics:

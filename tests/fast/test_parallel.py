@@ -68,3 +68,31 @@ def test_worker_count_capped_by_fleet_size():
     with ParallelFleetBackend(specs(2), n_workers=8) as be:
         assert be.n_workers <= 2
         drive(be, n_rounds=2)
+
+
+def test_server_trace_equals_per_row_rebuild_across_doublings():
+    """Worker-built traces equal the per-row rebuild of the single-process
+    fast fleet's rows, bit for bit, once the history has doubled twice."""
+    from repro.fleet.soa import PeriodHistory
+    from tests.fleet.test_history import assert_same_trace, legacy_trace
+
+    s = specs(4)
+    n_periods = 2 * PeriodHistory.INITIAL_CAPACITY + 1
+    single = FastFleetBackend([dataclasses.replace(x) for x in s])
+    rows = []
+    for _ in range(n_periods):
+        single.run_periods(1)
+        rows.append(single._history.last().copy())
+    with ParallelFleetBackend(
+        [dataclasses.replace(x) for x in s], n_workers=2
+    ) as par:
+        par.run_periods(n_periods)
+        for i in range(len(s)):
+            trace = par.server_trace(i)
+            assert_same_trace(
+                trace, legacy_trace(single._channels, rows, i), timing=False
+            )
+            trace["power_w"][:] = -1.0  # a copy: the worker's history is untouched
+            assert par.server_trace(i)["power_w"].tolist() == [
+                row[i, single._chan_index["power_w"]] for row in rows
+            ]

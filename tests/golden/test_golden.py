@@ -4,7 +4,8 @@ Cross-checks between two implementations pass when both drift together;
 these digests do not. Every registered experiment and every registered
 fleet scenario is pinned at seed 0 in ``DIGESTS.json``; the SoA backend
 must reproduce the reference backend's pinned digest on every scenario it
-can build. The file is rewritten only by ``python -m tests.golden.regen``.
+can build. The served twin (deployed and shadow digests, WAL head chain)
+is pinned too. The file is rewritten only by ``python -m tests.golden.regen``.
 """
 
 import pytest
@@ -12,7 +13,14 @@ import pytest
 from repro.experiments import experiment_ids
 from repro.fleet.scenarios import FLEET_SCENARIOS, fleet_scenario_names
 
-from tests.golden.regen import drive_fleet, experiment_digest, fleet_digest, load
+from tests.golden.regen import (
+    TWIN,
+    drive_fleet,
+    experiment_digest,
+    fleet_digest,
+    load,
+    twin_digests,
+)
 
 LEDGER = load()
 #: Entries too slow for tier-1; they run under ``-m chaos``.
@@ -46,3 +54,11 @@ def test_fleet_reference_digest(name):
 )
 def test_fleet_soa_reproduces_reference_digest(name):
     assert fleet_digest(drive_fleet(name, "soa")) == LEDGER["fleet"][name]
+
+
+def test_twin_digests_and_wal_chain():
+    pinned = LEDGER["twin"]
+    assert {k: pinned[k] for k in TWIN} == TWIN
+    assert twin_digests() == {
+        k: pinned[k] for k in ("deployed", "shadows", "chain")
+    }

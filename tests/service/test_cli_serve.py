@@ -125,6 +125,26 @@ class TestServeCommand:
         assert resumed["windows_closed"] == first["windows_closed"] == 2
         assert resumed["chain"] == first["chain"]
 
+    def test_resume_with_schema_1_blob_replays_the_wal(
+        self, tmp_path, trace_path, capsys
+    ):
+        from repro.checkpoint import load_blob
+
+        from tests.checkpoint.test_blob import write_with_schema
+
+        journal_dir = tmp_path / "svc"
+        assert main(self.serve_args(trace_path, "--journal", str(journal_dir))) == 0
+        first = json.loads(capsys.readouterr().out)
+        blob_path = journal_dir / "twin.ckpt"
+        write_with_schema(blob_path, load_blob(blob_path), 1)
+        assert main(
+            ["serve", "--resume", str(journal_dir), "--replay", str(trace_path),
+             "--oneshot"]
+        ) == 0
+        resumed = json.loads(capsys.readouterr().out)
+        assert resumed["windows_closed"] == first["windows_closed"] == 2
+        assert resumed["chain"] == first["chain"]
+
     def test_existing_journal_is_exit_2(self, tmp_path, trace_path, capsys):
         journal_dir = tmp_path / "svc"
         assert main(self.serve_args(trace_path, "--journal", str(journal_dir))) == 0

@@ -165,6 +165,32 @@ class TestDurability:
         assert service.deployed.digest() == digest
         service.close()
 
+    def test_schema_1_blob_falls_back_to_wal_replay(self, tmp_path, monkeypatch):
+        """A blob written by a version 1 build is refused as a
+        CheckpointError, and resume re-simulates from the WAL instead."""
+        from repro.checkpoint import load_blob
+        from repro.service.shadow import TwinRunner
+
+        from tests.checkpoint.test_blob import write_with_schema
+
+        _, (chain, digest) = self.make_journalled(tmp_path)
+        blob_path = tmp_path / "svc" / "twin.ckpt"
+        write_with_schema(blob_path, load_blob(blob_path), 1)
+        with pytest.raises(CheckpointError, match="schema version 1"):
+            load_blob(blob_path)
+        advanced = []
+        real_advance = TwinRunner.advance
+        monkeypatch.setattr(
+            TwinRunner,
+            "advance",
+            lambda self, n=1: advanced.append(n) or real_advance(self, n),
+        )
+        service = self.resume(tmp_path)
+        assert advanced == [2, 2]  # deployed + one shadow, replayed from the WAL
+        assert service.chain == chain
+        assert service.deployed.digest() == digest
+        service.close()
+
     def test_resumed_continuation_matches_uninterrupted_run(self, tmp_path):
         self.make_journalled(tmp_path, n_windows=2)
         resumed = self.resume(tmp_path)

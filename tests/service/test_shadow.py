@@ -117,6 +117,43 @@ class TestTwinRunner:
         report = a.equiv_vs(b)
         assert report.ok
 
+    @pytest.mark.filterwarnings("ignore::repro.errors.BudgetShortfallWarning")
+    def test_equiv_vs_equals_trace_comparison_and_memoizes(self, monkeypatch):
+        """Memoized per-twin metrics give the report ``compare_traces``
+        gives on freshly built server traces; each twin's metrics are
+        computed once per advance, however many shadows compare."""
+        from repro.equiv import compare_traces
+        from repro.service import shadow as shadow_mod
+
+        deployed = TwinRunner(SCENARIO, N)
+        shadows = [
+            TwinRunner.for_shadow(parse_shadow_spec(spec), SCENARIO, N, 1, 0)
+            for spec in ("cap=80", "cap=120")
+        ]
+        calls = []
+        real = shadow_mod.server_metrics
+        monkeypatch.setattr(
+            shadow_mod, "server_metrics", lambda t: calls.append(1) or real(t)
+        )
+        for window in (1, 2):
+            for twin in (deployed, *shadows):
+                twin.advance(1)
+            calls.clear()
+            reports = [s.equiv_vs(deployed) for s in shadows]
+            assert len(calls) == 3 * N  # deployed once, each shadow once
+            for s, report in zip(shadows, reports):
+                want = compare_traces(
+                    [deployed.fleet.backend.server_trace(i) for i in range(N)],
+                    [s.fleet.backend.server_trace(i) for i in range(N)],
+                    scenario=f"shadow:{s.scenario}",
+                )
+                assert report.rows == want.rows
+                assert report.n_servers == want.n_servers
+            assert [s.equiv_vs(deployed).rows for s in shadows] == [
+                r.rows for r in reports
+            ]
+            assert len(calls) == 3 * N  # memo hit: no recomputation
+
     def test_rejects_bad_configuration(self):
         with pytest.raises(ConfigurationError):
             TwinRunner(SCENARIO, N, periods_per_window=0)
