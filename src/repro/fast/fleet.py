@@ -1,17 +1,15 @@
-"""Relaxed-semantics fleet backend: fused reductions + controller banks.
+"""Relaxed-semantics fleet backend: controller banks on the SoA kernel.
 
 :class:`FastFleetBackend` subclasses the bit-identical
-:class:`~repro.fleet.soa.SoaFleetBackend` and re-derives its hot loops with
-the float-semantics constraints dropped:
+:class:`~repro.fleet.soa.SoaFleetBackend` and inherits its tick-block
+kernel unchanged, so plant, workloads, meter and RAPL advance exactly as in
+the reference transcription. Only the once-per-period work is relaxed:
 
-* **fused reductions** — per-channel plant power, GPU board sums, preproc
-  core counts and meter-window means use ``ndarray.sum``/``ndarray.mean``
-  over whole axes instead of the scalar engine's column-sequential
-  accumulation (the property the reference transcription must preserve and
-  this engine is sanctioned to break — see REP2xx sanctioning in
-  ``repro.lint``);
-* **batched workload stepping** — all GPUs of all servers advance as one
-  ``(S, G)`` expression instead of a per-GPU column loop;
+* **fused sample statistics** — meter-window means and GPU board sums use
+  ``ndarray.mean``/``ndarray.sum`` over whole axes instead of the scalar
+  engine's column-sequential accumulation (the property the reference
+  transcription must preserve and this engine is sanctioned to break — see
+  REP2xx sanctioning in ``repro.lint``);
 * **vectorized controller banks** — homogeneous fixed-step/safe-fixed-step
   fleets step as array programs (no per-server Python controller objects in
   the loop), and MPC fleets evaluate the process-global pre-solved gain
@@ -20,8 +18,9 @@ the float-semantics constraints dropped:
 
 RNG streams are untouched: each server consumes exactly the same
 per-server noise draws as its reference twin, so fast-vs-reference
-differences come only from float reassociation and the analytic (projected)
-MPC solve. ``repro.equiv`` bounds those differences statistically.
+differences come only from float reassociation in those statistics and the
+analytic (projected) MPC solve. ``repro.equiv`` bounds those differences
+statistically.
 
 Supported fleets are the SoA-capable ones with ``fixed-step``/
 ``safe-fixed-step`` (mixed freely) or ``mpc`` controllers; anything else
@@ -40,7 +39,6 @@ from ..core.mpc import MpcConfig
 from ..core.weights import WeightAssigner
 from ..errors import ConfigurationError
 from ..fleet.soa import (
-    _CONTROLLER_CORE_UTIL,
     _FREEZE_DETECT_SAMPLES,
     DEFAULT_GPU_SPECS,
     SoaFleetBackend,
@@ -59,7 +57,7 @@ _FIXED_STEP_KINDS = frozenset({"fixed-step", "safe-fixed-step"})
 
 
 class FastFleetBackend(SoaFleetBackend):
-    """The fast fleet: SoA state layout, relaxed-semantics stepping."""
+    """The fast fleet: the SoA kernel with relaxed per-period control."""
 
     def __init__(
         self,
@@ -82,14 +80,6 @@ class FastFleetBackend(SoaFleetBackend):
         n = len(specs)
         n_chan = self.n_channels
 
-        # Workload-law constants, one row vector per quantity (the SoA loop
-        # reads them per-GPU; the fused loop broadcasts them).
-        self._wl_base = np.array([gs.base_rate_s for gs in self.gpu_specs])
-        self._wl_rpm = np.array([gs.rate_per_mhz for gs in self.gpu_specs])
-        self._wl_fref = np.array([gs.f_ref_mhz for gs in self.gpu_specs])
-        self._wl_pre = np.array([gs.preproc_scale for gs in self.gpu_specs])
-        self._wl_workers = np.array(self._n_workers, dtype=np.float64)
-
         if self._bank == "mpc":
             # One shared solver + one (a, r) cache entry for the whole
             # fleet: uniform penalty weights and the shared identified model
@@ -97,124 +87,15 @@ class FastFleetBackend(SoaFleetBackend):
             model = fleet_identified_model()
             self._mpc = FastMimoPowerMpc(n_chan, MpcConfig())
             self._mpc_a = np.ascontiguousarray(model.a_w_per_mhz, dtype=np.float64)
-            self._mpc_r = np.full(
-                n_chan, WeightAssigner(mode="uniform").r_scale, dtype=np.float64
-            )
+            self._mpc_r = np.full(n_chan, WeightAssigner(mode="uniform").r_scale, dtype=np.float64)
         else:
             self._fs_step = np.array([float(s.step_size) for s in specs])
             self._fs_deadband = np.array([s.deadband_w for s in specs])
             self._fs_margin = np.array(
-                [
-                    s.safety_margin_w if s.controller == "safe-fixed-step" else 0.0
-                    for s in specs
-                ]
+                [s.safety_margin_w if s.controller == "safe-fixed-step" else 0.0 for s in specs]
             )
             self._fs_rr = np.zeros(n, dtype=np.int64)
-            self._fs_step_base = np.where(
-                np.arange(n_chan) == 0, CPU_STEP_MHZ, GPU_STEP_MHZ
-            )
-
-    # -- stepping (fused transcription of the SoA period loop) ---------------
-
-    def _run_one_period(self) -> None:
-        cfg = self.config
-        n = len(self.specs)
-        dt = cfg.dt_s
-        ticks = cfg.ticks_per_period
-        spp = cfg.samples_per_period
-
-        wall = np.array([s.take(ticks) for s in self._wall_noise])
-        meter_noise = np.array([s.take(spp) for s in self._meter_noise])
-
-        f = self._f
-        u = self._u
-        f_min = self._f_min
-        f_max = self._f_max
-        pitch = self._pitch
-        k_max = self._k_max
-        err_bound = self._err_bound
-        idle = self._pm_idle
-        dyn = self._pm_dyn
-        flo = self._pm_floor
-        omf = self._pm_omf
-        quad = self._pm_quad
-        fref = self._pm_fref
-        demand = self._demand
-        frac = self._frac_batches
-        samples = np.empty((n, spp), dtype=np.float64)
-        emit = 0
-
-        for t in range(ticks):
-            if self._pending is not None:
-                self._tgt = self._pending
-                self._pending = None
-            desired = self._tgt + self._err
-            clipped = np.minimum(np.maximum(desired, f_min), f_max)
-            k = np.floor((clipped - f_min) / pitch)
-            np.minimum(k, k_max, out=k)
-            below = f_min + pitch * k
-            above = f_min + pitch * (k + 1.0)
-            level = np.where((clipped - below) <= (above - clipped), below, above)
-            e = desired - level
-            self._err = np.minimum(np.maximum(e, -err_bound), err_bound)
-            f[:] = level
-            self._applied_sum += level
-            self._applied_ticks += 1
-
-            # Workloads: every GPU of every server in one (S, G) expression.
-            fg = f[:, 1:]
-            capacity = self._wl_base + self._wl_rpm * (fg - self._wl_fref)
-            busy = np.minimum(demand / capacity, 1.0)
-            rate = np.minimum(demand, capacity)
-            frac += rate * dt
-            done = np.floor(frac)
-            frac -= done
-            busy_s = busy * dt
-            u[:, 1:] = busy_s / dt
-            self._tput_acc[:, 1:] += done
-            self._util_acc[:, 1:] += busy_s
-            preproc_cores = (
-                self._wl_workers * np.minimum(busy * self._wl_pre, 1.0)
-            ).sum(axis=1)
-
-            busy_cores = preproc_cores + _CONTROLLER_CORE_UTIL
-            cpu_util = np.minimum(busy_cores / self._n_cores, 1.0)
-            u[:, 0] = cpu_util
-            self._util_acc[:, 0] += cpu_util * dt
-            self._acc_elapsed += dt
-
-            # Plant: fused per-channel power with one axis reduction.
-            self._noise_state = self._noise_rho * self._noise_state + wall[:, t]
-            df = f - fref
-            pw = idle + dyn * f * (flo + omf * u) + quad * df * df
-            cpu_p = pw[:, 0]
-            p_true = self._base_power_w + pw.sum(axis=1) + self._noise_state
-
-            self._m_accum_j += p_true * dt
-            self._m_accum_t += dt
-            if self._m_accum_t + 1e-9 >= cfg.meter_interval_s:
-                mean_w = self._m_accum_j / self._m_accum_t
-                if cfg.meter_noise_sigma_w > 0:
-                    mean_w = mean_w + meter_noise[:, emit]
-                samples[:, emit] = (
-                    np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
-                )
-                emit += 1
-                self._m_accum_j[:] = 0.0
-                self._m_accum_t = 0.0
-
-            self._rapl_energy += (cpu_p * dt) * 1e6
-            self._rapl_energy %= self._rapl_range_uj
-
-            self._true_power_sum += p_true
-            self._true_power_ticks += 1
-            self.time_s += dt
-
-        if emit != spp:
-            raise ConfigurationError(
-                f"meter emitted {emit} samples per period, expected {spp}"
-            )
-        self._observe_and_control(samples)
+            self._fs_step_base = np.where(np.arange(n_chan) == 0, CPU_STEP_MHZ, GPU_STEP_MHZ)
 
     def _filter_samples(
         self, samples: np.ndarray
@@ -259,9 +140,7 @@ class FastFleetBackend(SoaFleetBackend):
         self._max_seen = np.maximum(self._max_seen, tput_raw)
         max_seen = self._max_seen
         safe_den = np.where(max_seen > 0, max_seen, 1.0)
-        tput_norm = np.where(
-            max_seen > 0, np.minimum(tput_raw / safe_den, 1.0), 0.0
-        )
+        tput_norm = np.where(max_seen > 0, np.minimum(tput_raw / safe_den, 1.0), 0.0)
         util = np.minimum(self._util_acc / elapsed, 1.0)
         self._tput_acc = np.zeros((n, n_chan), dtype=np.float64)
         self._util_acc = np.zeros((n, n_chan), dtype=np.float64)
@@ -299,9 +178,7 @@ class FastFleetBackend(SoaFleetBackend):
         self._rapl_anchor_t = self.time_s
 
         finite = np.isfinite(cpu_power) & np.isfinite(gpu_sum)
-        power_alt = np.where(
-            finite, cpu_power + gpu_sum + self._platform_overhead_w, np.nan
-        )
+        power_alt = np.where(finite, cpu_power + gpu_sum + self._platform_overhead_w, np.nan)
 
         has = count > 0
         alt_ok = np.isfinite(power_alt)
@@ -343,9 +220,7 @@ class FastFleetBackend(SoaFleetBackend):
         self._last_commanded = new_targets.copy()
         self._stage_targets(new_targets)
 
-        self._record_period(
-            power, pminmax, src_code, count, util, tput_raw, tput_norm, f_applied
-        )
+        self._record_period(power, pminmax, src_code, count, util, tput_raw, tput_norm, f_applied)
         self.period_index += 1
 
     # -- controller banks ----------------------------------------------------
@@ -360,9 +235,7 @@ class FastFleetBackend(SoaFleetBackend):
         )
         return f_now + d0
 
-    def _fixed_step_bank_targets(
-        self, power: np.ndarray, util: np.ndarray
-    ) -> np.ndarray:
+    def _fixed_step_bank_targets(self, power: np.ndarray, util: np.ndarray) -> np.ndarray:
         """Vectorized fixed-step / safe-fixed-step (margin-shifted) fleet."""
         targets = self._tgt.copy()
         err = (self._set_point - self._fs_margin) - power
@@ -393,8 +266,6 @@ class FastFleetBackend(SoaFleetBackend):
         cols = channel[rows]
         direction = np.where(raise_f[rows], 1.0, -1.0)
         delta = direction * self._fs_step_base[cols] * self._fs_step[rows]
-        moved = np.clip(
-            targets[rows, cols] + delta, self._f_min[cols], self._f_max[cols]
-        )
+        moved = np.clip(targets[rows, cols] + delta, self._f_min[cols], self._f_max[cols])
         targets[rows, cols] = moved
         return targets

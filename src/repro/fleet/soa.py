@@ -3,21 +3,37 @@
 Extends the within-server vectorization of ``sim/engine.py`` across the
 *server* axis. Device frequencies, utilizations, delta-sigma error state,
 meter/RAPL accumulators, monitor windows and degradation-ladder state all
-live in ``(n_servers, n_channels)`` / ``(n_servers,)`` float64 arrays, and
-the 40-tick control period advances the whole fleet with elementwise
-expressions instead of N scalar ``ServerSimulation`` loops.
+live in ``(n_servers, n_channels)`` / ``(n_servers,)`` float64 arrays.
+
+A 40-tick control period runs as a *tick block*. Only four quantities
+depend on the previous tick, and only they stay in a per-tick loop:
+
+1. the delta-sigma error (``err`` → applied ``level``);
+2. the batch-fraction floor (``frac += rate*dt; done = floor(frac)``);
+3. the AR(1) wall noise;
+4. the wrapping RAPL counter (``(e + inc) % range``).
+
+Everything else (workload capacity, busy and rate for every GPU,
+utilization, per-channel plant power, ``p_true``) is computed once per
+period over ``(ticks, servers, channels)`` arrays held in reused scratch.
 
 **Bit-for-bit contract.** Every expression below is a transcription of the
 scalar hot path with the same float operations in the same order, so a SoA
 fleet reproduces N scalar engines exactly (``tests/fleet/test_differential``
-pins this):
+and ``tests/fleet/test_tick_block`` pin this):
 
 * noise streams are per-server :class:`~repro.rng.BlockSampler` prefetches —
   batch draws consume each generator stream identically to scalar draws;
-* sums that the scalar engine accumulates left-to-right (per-channel plant
-  power, GPU board sum, demand pressure) are accumulated column by column,
-  never with ``ndarray.sum`` (numpy's pairwise reduce only matches sequential
-  addition below 8 elements);
+* what the scalar engine accumulates tick by tick (applied frequency,
+  monitor batches and busy time, true power, meter and RAPL energy) is an
+  exact left-to-right block sum over the tick axis,
+  ``start + x[0] + x[1] + ...`` (:func:`left_sum`); the scalar clocks
+  (``time_s``, the monitor and meter windows) keep their per-tick Python
+  float adds;
+* sums across channels or GPUs (plant power, preproc cores, GPU board sum,
+  demand pressure) are accumulated column by column;
+* nothing uses ``ndarray.sum`` or any other pairwise reduce (numpy's
+  pairwise reduce only matches sequential addition below 8 elements);
 * scalar quirks are preserved: the ``(busy*dt)/dt`` utilization round trip,
   the NVML watts→milliwatts→watts round trip, RAPL's truncate-to-int read,
   banker's rounding in the meter quantizer, and the shared-epsilon meter
@@ -26,9 +42,11 @@ pins this):
 Controllers are *not* vectorized: the backend keeps N real controller
 objects and feeds each a per-server :class:`ControlObservation` once per
 control period. Controller arithmetic is bit-identical by construction (it
-runs the very same code), controller state (round-robin cursors, safe-mode
-latches) needs no translation, and at one call per server per 4-simulated-
-seconds the cost is irrelevant next to the tick loop it replaces.
+runs the very same code) and controller state (round-robin cursors,
+safe-mode latches) needs no translation. The price is one Python call per
+server per period: about a quarter of an 8-server period and half of a
+64-server one now that the tick loop is short. The fast engine's
+controller banks remove it.
 
 The backend models the homogeneous fleet case: ``v100_server`` plants with
 :class:`~repro.workloads.static.StaticLoadPipeline` workloads and fixed-step
@@ -38,6 +56,7 @@ events stay on the :class:`~repro.fleet.engine.ReferenceBackend`.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -65,6 +84,7 @@ __all__ = [
     "DEFAULT_GPU_SPECS",
     "build_scalar_twin",
     "fleet_identified_model",
+    "left_sum",
 ]
 
 _CONTROLLER_CORE_UTIL = 0.3  # engine constant (one core runs the controller)
@@ -101,9 +121,7 @@ def _fleet_identified_model_cached(gpu_specs, config, seed, points_per_channel):
     from ..sysid import identify_power_model
 
     server = v100_server(seed=seed, n_gpus=len(gpu_specs))
-    pipelines = [
-        StaticLoadPipeline(gs, PipelineConfig(n_workers=1)) for gs in gpu_specs
-    ]
+    pipelines = [StaticLoadPipeline(gs, PipelineConfig(n_workers=1)) for gs in gpu_specs]
     sim = ServerSimulation(server, pipelines, config=config, seed=seed)
     return identify_power_model(sim, points_per_channel=points_per_channel).fit
 
@@ -132,9 +150,7 @@ class SoaServerSpec:
 
     def build_controller(self) -> PowerCappingController:
         if self.controller == "fixed-step":
-            return FixedStepController(
-                step_size=self.step_size, deadband_w=self.deadband_w
-            )
+            return FixedStepController(step_size=self.step_size, deadband_w=self.deadband_w)
         if self.controller == "safe-fixed-step":
             return SafeFixedStepController(
                 self.safety_margin_w,
@@ -188,9 +204,7 @@ class PeriodHistory:
     INITIAL_CAPACITY = 8
 
     def __init__(self, n_servers: int, n_channels: int):
-        self._data = np.empty(
-            (self.INITIAL_CAPACITY, n_servers, n_channels), dtype=np.float64
-        )
+        self._data = np.empty((self.INITIAL_CAPACITY, n_servers, n_channels), dtype=np.float64)
         self._len = 0
 
     def __len__(self) -> int:
@@ -229,6 +243,68 @@ class PeriodHistory:
             self._data = np.empty(rows.shape, dtype=np.float64)
         self._data[: len(rows)] = rows
         self._len = len(rows)
+
+
+def left_sum(start: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``start + x[0] + x[1] + ...``, added strictly left to right on axis 0.
+
+    ``np.add.accumulate`` is a sequential scan, so this is a per-tick ``+=``
+    loop in one call (``ndarray.sum`` reduces pairwise and rounds
+    differently). ``x`` is overwritten with the running sums and the result
+    is a view of their last row; an empty ``x`` returns ``start``.
+    """
+    if len(x) == 0:
+        return start
+    np.add(start, x[0], out=x[0])
+    np.add.accumulate(x, axis=0, out=x)
+    return x[-1]
+
+
+class _TickBlock:
+    """Scratch arrays for one control period, shaped ``(ticks, servers, ...)``.
+
+    A period overwrites them start to finish and leaves nothing in them for
+    the next one, so fleets of one shape can share a block.
+    """
+
+    def __init__(self, ticks: int, n: int, n_chan: int, n_gpus: int):
+        self.shape = (ticks, n, n_chan, n_gpus)
+        by_chan, by_gpu = (ticks, n, n_chan), (ticks, n, n_gpus)
+        self.level, self.u, self.quad, self.tmp = (np.empty(by_chan) for _ in range(4))
+        self.cap, self.busy = np.empty(by_gpu), np.empty(by_gpu)
+        self.col, self.p_true, self.noise = (np.empty((ticks, n)) for _ in range(3))
+        self.zeros = np.zeros(n)
+        # Delta-sigma scratch, one (servers, channels) array per step.
+        self.ds = tuple(np.empty((n, n_chan)) for _ in range(6))
+        self.near = np.empty((n, n_chan), dtype=bool)
+
+
+#: Idle scratch, at most one block. A period takes it and gives it back, so
+#: memory stays flat however many fleets are alive and whichever thread runs
+#: them; a period that finds it taken builds its own.
+_SPARE: list[_TickBlock] = []  # repro-lint: lock-protocol=_SPARE_LOCK -- pop/append under it
+_SPARE_LOCK = threading.Lock()
+
+
+def _take_block(ticks: int, n: int, n_chan: int, n_gpus: int) -> _TickBlock:
+    with _SPARE_LOCK:
+        blk = _SPARE.pop() if _SPARE else None
+    if blk is None or blk.shape != (ticks, n, n_chan, n_gpus):
+        blk = _TickBlock(ticks, n, n_chan, n_gpus)
+    return blk
+
+
+def _give_back(blk: _TickBlock) -> None:
+    with _SPARE_LOCK:
+        if not _SPARE:
+            _SPARE.append(blk)
+
+
+@lru_cache(maxsize=8)
+def _static_load_law(gpu_specs: tuple[StaticLoadSpec, ...]) -> np.ndarray:
+    """Per-GPU law constants as rows: base rate, rate/MHz, f_ref, preproc scale."""
+    law = [[gs.base_rate_s, gs.rate_per_mhz, gs.f_ref_mhz, gs.preproc_scale] for gs in gpu_specs]
+    return np.array(law).T
 
 
 def power_states(backend, last: np.ndarray | None) -> list[ServerPowerState]:
@@ -312,9 +388,7 @@ class SoaFleetBackend(FleetBackend):
         if any(p is None for p in pitches):
             raise ConfigurationError("SoA fleet requires exact-uniform grids")
         self._pitch = np.array(pitches, dtype=np.float64)
-        self._k_max = np.array(
-            [float(d.domain.n_levels - 2) for d in devs], dtype=np.float64
-        )
+        self._k_max = np.array([float(d.domain.n_levels - 2) for d in devs], dtype=np.float64)
         # The anti-windup bound each DeltaSigmaModulator computes for itself.
         self._err_bound = np.array(
             [DeltaSigmaModulator(d.domain)._pitch for d in devs], dtype=np.float64
@@ -347,8 +421,7 @@ class SoaFleetBackend(FleetBackend):
             for s in specs
         ]
         self._nvml_noise = [
-            BlockSampler(spawn(s.seed, "nvml-noise"), "normal", (0.0, 1.0))
-            for s in specs
+            BlockSampler(spawn(s.seed, "nvml-noise"), "normal", (0.0, 1.0)) for s in specs
         ]
 
         # -- controller objects and workload parameters --------------------
@@ -411,9 +484,17 @@ class SoaFleetBackend(FleetBackend):
 
     def _trace_channels(self) -> list[str]:
         chans = [
-            "time_s", "period", "set_point_w", "power_w",
-            "power_max_w", "power_min_w", "ctl_ms",
-            "true_power_w", "power_src", "fresh_samples", "safe_mode",
+            "time_s",
+            "period",
+            "set_point_w",
+            "power_w",
+            "power_max_w",
+            "power_min_w",
+            "ctl_ms",
+            "true_power_w",
+            "power_src",
+            "fresh_samples",
+            "safe_mode",
         ]
         for i in range(self.n_channels):
             chans += [f"f_tgt_{i}", f"f_app_{i}", f"util_{i}", f"tput_{i}", f"tput_norm_{i}"]
@@ -460,10 +541,7 @@ class SoaFleetBackend(FleetBackend):
             return
         if not self._started:
             init = np.stack(
-                [
-                    ctl.initial_targets(self._f_min, self._f_max)
-                    for ctl in self.controllers
-                ]
+                [ctl.initial_targets(self._f_min, self._f_max) for ctl in self.controllers]
             )
             self._stage_targets(init)
             self._started = True
@@ -472,127 +550,181 @@ class SoaFleetBackend(FleetBackend):
 
     def _run_one_period(self) -> None:
         cfg = self.config
-        n = len(self.specs)
-        n_chan = self.n_channels
-        n_gpus = self.n_gpus
         dt = cfg.dt_s
         ticks = cfg.ticks_per_period
         spp = cfg.samples_per_period
+        blk = _take_block(ticks, len(self.specs), self.n_channels, self.n_gpus)
 
         # Per-period noise prefetch: one block per server per stream,
         # consuming each generator exactly as the scalar components would.
-        wall = np.array([s.take(ticks) for s in self._wall_noise])
+        wall = np.array([s.take(ticks) for s in self._wall_noise]).T
         meter_noise = np.array([s.take(spp) for s in self._meter_noise])
 
-        f = self._f
-        u = self._u
-        f_min = self._f_min
-        f_max = self._f_max
-        pitch = self._pitch
-        k_max = self._k_max
-        err_bound = self._err_bound
-        idle = self._pm_idle
-        dyn = self._pm_dyn
-        flo = self._pm_floor
-        omf = self._pm_omf
-        quad = self._pm_quad
-        fref = self._pm_fref
-        samples = np.empty((n, spp), dtype=np.float64)
-        emit = 0
-
+        # Scalar clocks: the engine's per-tick float adds, in order. The
+        # meter window clock is shared (the fleet ticks in lockstep).
+        emits: list[tuple[int, float]] = []
         for t in range(ticks):
-            # Actuator: promote pending commands at the first tick after a
-            # set, then the delta-sigma rollout (scalar order per channel).
-            if self._pending is not None:
-                self._tgt = self._pending
-                self._pending = None
-            desired = self._tgt + self._err
-            clipped = np.minimum(np.maximum(desired, f_min), f_max)
-            k = np.floor((clipped - f_min) / pitch)
-            np.minimum(k, k_max, out=k)
-            below = f_min + pitch * k
-            above = f_min + pitch * (k + 1.0)
-            level = np.where((clipped - below) <= (above - clipped), below, above)
-            e = desired - level
-            self._err = np.minimum(np.maximum(e, -err_bound), err_bound)
-            f[:] = level
-            self._applied_sum += level
-            self._applied_ticks += 1
-
-            # Workloads (GPU channel order, like the engine's pipeline loop).
-            preproc_cores: np.ndarray | None = None
-            for g in range(n_gpus):
-                c = 1 + g
-                spec = self.gpu_specs[g]
-                fc = f[:, c]
-                capacity = spec.base_rate_s + spec.rate_per_mhz * (fc - spec.f_ref_mhz)
-                demand = self._demand[:, g]
-                busy = np.minimum(demand / capacity, 1.0)
-                rate = np.minimum(demand, capacity)
-                frac = self._frac_batches[:, g]
-                frac += rate * dt
-                done = np.floor(frac)
-                frac -= done
-                busy_s = busy * dt
-                u[:, c] = busy_s / dt  # the engine's (busy*dt)/dt round trip
-                self._tput_acc[:, c] += done
-                self._util_acc[:, c] += busy_s
-                contrib = self._n_workers[g] * np.minimum(
-                    busy * spec.preproc_scale, 1.0
-                )
-                preproc_cores = (
-                    contrib if preproc_cores is None else preproc_cores + contrib
-                )
-
-            # CPU channel: preproc workers + the controller's own core.
-            busy_cores = preproc_cores + _CONTROLLER_CORE_UTIL
-            cpu_util = np.minimum(busy_cores / self._n_cores, 1.0)
-            u[:, 0] = cpu_util
-            self._util_acc[:, 0] += cpu_util * dt
             self._acc_elapsed += dt
-
-            # Plant: AR(1) wall disturbance, then per-channel power summed
-            # left-to-right (sequential adds match the scalar fast path).
-            self._noise_state = self._noise_rho * self._noise_state + wall[:, t]
-            total: np.ndarray | None = None
-            cpu_p: np.ndarray | None = None
-            for c in range(n_chan):
-                fc = f[:, c]
-                df = fc - fref[c]
-                pw = idle[c] + dyn[c] * fc * (flo[c] + omf[c] * u[:, c]) + quad[c] * df * df
-                total = pw if total is None else total + pw
-                if c == 0:
-                    cpu_p = pw
-            p_true = self._base_power_w + total
-            p_true = p_true + self._noise_state
-
-            # Meter integration (shared scalar window clock: lockstep fleet).
-            self._m_accum_j += p_true * dt
             self._m_accum_t += dt
             if self._m_accum_t + 1e-9 >= cfg.meter_interval_s:
-                mean_w = self._m_accum_j / self._m_accum_t
-                if cfg.meter_noise_sigma_w > 0:
-                    mean_w = mean_w + meter_noise[:, emit]
-                samples[:, emit] = (
-                    np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
-                )
-                emit += 1
-                self._m_accum_j[:] = 0.0
+                emits.append((t, self._m_accum_t))
                 self._m_accum_t = 0.0
-
-            # RAPL integration (float microjoule counter, wrapping).
-            self._rapl_energy += (cpu_p * dt) * 1e6
-            self._rapl_energy %= self._rapl_range_uj
-
-            self._true_power_sum += p_true
-            self._true_power_ticks += 1
             self.time_s += dt
-
-        if emit != spp:
+        if len(emits) != spp:
             raise ConfigurationError(
-                f"meter emitted {emit} samples per period, expected {spp}"
+                f"meter emitted {len(emits)} samples per period, expected {spp}"
             )
-        self._observe_and_control(samples)
+        self._applied_ticks += ticks
+        self._true_power_ticks += ticks
+
+        # Actuator: promote the pending command at the period's first tick,
+        # then the delta-sigma rollout (recurrence 1).
+        if self._pending is not None:
+            self._tgt = self._pending
+            self._pending = None
+        level = self._delta_sigma(blk)
+
+        # Workloads, all GPUs at once (the G axis). The batch-fraction floor
+        # is recurrence 2.
+        base, per_mhz, f_ref, preproc = _static_load_law(self.gpu_specs)
+        cap = np.subtract(level[:, :, 1:], f_ref, out=blk.cap)
+        np.multiply(per_mhz, cap, out=cap)
+        np.add(base, cap, out=cap)
+        busy = np.divide(self._demand, cap, out=blk.busy)
+        np.minimum(busy, 1.0, out=busy)
+        done = np.minimum(self._demand, cap, out=cap)
+        np.multiply(done, dt, out=done)  # batches offered this tick
+        frac = self._frac_batches
+        for t in range(ticks):
+            np.add(frac, done[t], out=frac)
+            np.floor(frac, out=done[t])
+            np.subtract(frac, done[t], out=frac)
+        self._tput_acc[:, 1:] = left_sum(self._tput_acc[:, 1:], done)
+        contrib = np.multiply(busy, preproc, out=cap)
+        np.minimum(contrib, 1.0, out=contrib)
+        np.multiply(self._n_workers, contrib, out=contrib)
+        u = blk.u
+        busy_s = np.multiply(busy, dt, out=busy)
+        np.divide(busy_s, dt, out=u[:, :, 1:])  # the engine's (busy*dt)/dt round trip
+
+        # CPU channel: preproc workers + the controller's own core.
+        cpu = blk.col
+        np.copyto(cpu, contrib[:, :, 0])
+        for g in range(1, self.n_gpus):
+            np.add(cpu, contrib[:, :, g], out=cpu)
+        np.add(cpu, _CONTROLLER_CORE_UTIL, out=cpu)
+        np.divide(cpu, self._n_cores, out=cpu)
+        np.minimum(cpu, 1.0, out=u[:, :, 0])
+        self._u[:] = u[-1]
+        np.multiply(u[:, :, 0], dt, out=cpu)
+        self._util_acc[:, 0] = left_sum(self._util_acc[:, 0], cpu)
+
+        # Plant: per-channel power (written over u), summed left to right
+        # over channels, plus the AR(1) wall disturbance (recurrence 3).
+        df = np.subtract(level, self._pm_fref, out=blk.tmp)
+        quad = np.multiply(self._pm_quad, df, out=blk.quad)
+        np.multiply(quad, df, out=quad)
+        pw = np.multiply(self._pm_omf, u, out=u)
+        np.add(self._pm_floor, pw, out=pw)
+        np.multiply(self._pm_dyn, level, out=blk.tmp)
+        np.multiply(blk.tmp, pw, out=pw)
+        np.add(self._pm_idle, pw, out=pw)
+        np.add(pw, quad, out=pw)
+        p_true = blk.p_true
+        np.add(pw[:, :, 0], pw[:, :, 1], out=p_true)
+        for c in range(2, self.n_channels):
+            np.add(p_true, pw[:, :, c], out=p_true)
+        np.add(self._base_power_w, p_true, out=p_true)
+        noise = blk.noise
+        prev = self._noise_state
+        for t in range(ticks):
+            np.multiply(self._noise_rho, prev, out=noise[t])
+            np.add(noise[t], wall[t], out=noise[t])
+            prev = noise[t]
+        self._noise_state[:] = prev
+        np.add(p_true, noise, out=p_true)
+
+        # RAPL: the CPU channel's energy into the wrapping counter
+        # (recurrence 4).
+        inc = np.multiply(pw[:, :, 0], dt, out=noise)
+        np.multiply(inc, 1e6, out=inc)
+        self._rapl_integrate(inc, cpu)
+
+        # Meter: one exact block sum per emitted window.
+        energy = np.multiply(p_true, dt, out=cpu)
+        samples = np.empty((spp, len(self.specs)), dtype=np.float64)
+        start, first = self._m_accum_j, 0
+        for j, (t, window_s) in enumerate(emits):
+            mean_w = left_sum(start, energy[first : t + 1]) / window_s
+            if cfg.meter_noise_sigma_w > 0:
+                mean_w = mean_w + meter_noise[:, j]
+            samples[j] = np.rint(mean_w / cfg.meter_resolution_w) * cfg.meter_resolution_w
+            start, first = blk.zeros, t + 1
+        self._m_accum_j[:] = left_sum(start, energy[first:])
+
+        # Period accumulators: exact left-to-right sums over the tick axis.
+        self._f[:] = level[-1]
+        self._applied_sum[:] = left_sum(self._applied_sum, level)
+        self._util_acc[:, 1:] = left_sum(self._util_acc[:, 1:], busy_s)
+        self._true_power_sum[:] = left_sum(self._true_power_sum, p_true)
+        _give_back(blk)
+        self._observe_and_control(np.ascontiguousarray(samples.T))
+
+    def _delta_sigma(self, blk: _TickBlock) -> np.ndarray:
+        """Every tick's applied levels, ``(ticks, servers, channels)``.
+
+        The target holds for the whole period, so once the carried error
+        maps to itself every later tick repeats the last level exactly.
+        """
+        f_min, f_max, pitch = self._f_min, self._f_max, self._pitch
+        level = blk.level
+        desired, clipped, k, below, above, nxt = blk.ds
+        err, err_lo = self._err, -self._err_bound
+        for t in range(len(level)):
+            lv = level[t]
+            np.add(self._tgt, err, out=desired)
+            np.maximum(desired, f_min, out=clipped)
+            np.minimum(clipped, f_max, out=clipped)
+            np.subtract(clipped, f_min, out=k)
+            np.divide(k, pitch, out=k)
+            np.floor(k, out=k)
+            np.minimum(k, self._k_max, out=k)
+            np.multiply(pitch, k, out=below)
+            np.add(f_min, below, out=below)
+            np.add(k, 1.0, out=above)
+            np.multiply(pitch, above, out=above)
+            np.add(f_min, above, out=above)
+            np.subtract(clipped, below, out=k)
+            np.subtract(above, clipped, out=clipped)
+            np.less_equal(k, clipped, out=blk.near)
+            np.copyto(lv, above)
+            np.copyto(lv, below, where=blk.near)
+            np.subtract(desired, lv, out=nxt)
+            np.maximum(nxt, err_lo, out=nxt)
+            np.minimum(nxt, self._err_bound, out=nxt)
+            err, nxt = nxt, err
+            if np.equal(err, nxt, out=blk.near).all():
+                level[t + 1 :] = lv
+                break
+        if err is not self._err:
+            self._err[:] = err
+        return level
+
+    def _rapl_integrate(self, inc: np.ndarray, scratch: np.ndarray) -> None:
+        """``energy = (energy + inc[t]) % range`` for every tick ``t``.
+
+        While no partial sum leaves ``[0, range)`` the modulo is the
+        identity, so one exact block sum replaces the loop.
+        """
+        rng = self._rapl_range_uj
+        np.copyto(scratch, inc)
+        sums = left_sum(self._rapl_energy, scratch)
+        if ((scratch >= 0.0) & (scratch < rng)).all():
+            np.remainder(sums, rng, out=self._rapl_energy)
+            return
+        for t in range(len(inc)):
+            self._rapl_energy += inc[t]
+            self._rapl_energy %= rng
 
     def _filter_samples(
         self, samples: np.ndarray
@@ -609,11 +741,7 @@ class SoaFleetBackend(FleetBackend):
             frozen_eq = w == self._last_sample_w
             self._freeze_run = np.where(frozen_eq, self._freeze_run + 1, 0)
             self._last_sample_w = w.copy()
-            keep[:, j] = (
-                np.isfinite(w)
-                & (w >= self._plausible_lo_w)
-                & (w <= self._plausible_hi_w)
-            )
+            keep[:, j] = np.isfinite(w) & (w >= self._plausible_lo_w) & (w <= self._plausible_hi_w)
         if self.config.meter_noise_sigma_w > 0:
             keep[self._freeze_run >= _FREEZE_DETECT_SAMPLES, :] = False
         count = keep.sum(axis=1)
@@ -645,9 +773,7 @@ class SoaFleetBackend(FleetBackend):
         self._max_seen = np.maximum(self._max_seen, tput_raw)
         max_seen = self._max_seen
         safe_den = np.where(max_seen > 0, max_seen, 1.0)
-        tput_norm = np.where(
-            max_seen > 0, np.minimum(tput_raw / safe_den, 1.0), 0.0
-        )
+        tput_norm = np.where(max_seen > 0, np.minimum(tput_raw / safe_den, 1.0), 0.0)
         util = np.minimum(self._util_acc / elapsed, 1.0)
         self._tput_acc = np.zeros((n, n_chan), dtype=np.float64)
         self._util_acc = np.zeros((n, n_chan), dtype=np.float64)
@@ -694,9 +820,7 @@ class SoaFleetBackend(FleetBackend):
         self._rapl_anchor_t = self.time_s
 
         finite = np.isfinite(cpu_power) & np.isfinite(gpu_sum)
-        power_alt = np.where(
-            finite, cpu_power + gpu_sum + self._platform_overhead_w, np.nan
-        )
+        power_alt = np.where(finite, cpu_power + gpu_sum + self._platform_overhead_w, np.nan)
 
         # The degradation ladder per server.
         has = count > 0
@@ -772,9 +896,7 @@ class SoaFleetBackend(FleetBackend):
         self._last_commanded = new_targets.copy()
         self._stage_targets(new_targets)
 
-        self._record_period(
-            power, pminmax, src_code, count, util, tput_raw, tput_norm, f_applied
-        )
+        self._record_period(power, pminmax, src_code, count, util, tput_raw, tput_norm, f_applied)
         self.period_index += 1
 
     def _record_period(

@@ -51,13 +51,19 @@ class TestValidation:
             FastFleetBackend(mixed)
 
 
-class TestAgainstSoa:
-    """The fused loops against the bit-identical SoA transcription.
+def test_inherits_the_soa_tick_kernel():
+    """One tick loop: the fast engine relaxes only per-period statistics
+    and the controllers, never the plant."""
+    assert FastFleetBackend._run_one_period is SoaFleetBackend._run_one_period
 
-    Fixed-step fleets agree exactly in practice (every fused reduction here
-    runs over fewer than eight elements, below numpy's pairwise-sum
-    threshold); the contract is only closeness, so the assertion leaves
-    float-rounding headroom.
+
+class TestAgainstSoa:
+    """The fast engine against the bit-identical SoA transcription.
+
+    Both run the same tick kernel. Fixed-step fleets agree exactly in
+    practice (every fused per-period reduction here runs over fewer than
+    eight elements, below numpy's pairwise-sum threshold); the contract is
+    only closeness, so the assertion leaves float-rounding headroom.
     """
 
     @pytest.mark.parametrize("controller", ["fixed-step", "safe-fixed-step"])

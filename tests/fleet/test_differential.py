@@ -205,6 +205,17 @@ def test_snapshot_restore_mid_run(backend):
 
 
 @pytest.mark.fleet_smoke
+def test_soa_matches_reference_at_64_servers():
+    """Bit identity at scale: 64 servers, two budget rounds."""
+    scenario = fleet_scenario("tree-static")
+    ref = scenario.build_fleet("reference", n_servers=64)
+    soa = scenario.build_fleet("soa", n_servers=64)
+    ref.run(2)
+    soa.run(2)
+    assert fleet_digests(soa) == fleet_digests(ref)
+
+
+@pytest.mark.fleet_smoke
 def test_soa_smoke_256_servers():
     """One budget round over 256 servers: sane powers, conserved budget."""
     scenario = fleet_scenario("tree-static")
